@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .channel import PathDistribution, assemble_channel, sample_paths, singular_energy_profile
-from .config import PRESET_NAMES, override_scenario, parse_config, preset_scenarios, render_config
+from .config import PRESET_NAMES, parse_config, preset_scenarios, render_config
 from .errors import ConfigError
 from .estimation import ChannelOracle, estimate_channel
 from .factorization import factorize
@@ -34,33 +34,16 @@ from .simulation import (
     run_scenario,
 )
 
-_DEFAULT_PRESET = {"rank-profile": "fig2", "capacity-sweep": "fig5",
-                   "estimate-demo": "fig5", "factorize": "fig5"}
-
-
-_HELP = {
-    "rank-profile": "mean singular-energy profiles per path count",
-    "capacity-sweep": "Monte Carlo capacity rows over an SNR grid",
-    "estimate-demo": "single estimation run with diagnostics",
-    "factorize": "constant-modulus factorization residual report",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmwave-backhaul",
         description="Link-level simulator for multi-user mmWave massive-MIMO backhaul.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (
-        ("rank-profile", cmd_rank_profile),
-        ("capacity-sweep", cmd_capacity_sweep),
-        ("estimate-demo", cmd_estimate_demo),
-        ("factorize", cmd_factorize),
-    ):
-        command = sub.add_parser(name, help=_HELP[name])
+    for name, func, help_text, default_preset in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
         _add_common(command)
-        command.set_defaults(func=func)
+        command.set_defaults(func=func, default_preset=default_preset)
     return parser
 
 
@@ -75,13 +58,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _load_scenarios(args) -> list[ScenarioConfig]:
     if args.config and args.preset:
         raise ConfigError("provide either --config or --preset, not both")
-    if args.config:
-        cfg = parse_config(args.config)
-        if args.seed is not None or args.trials is not None:
-            cfg = override_scenario(cfg, args.seed, args.trials)
-        return [cfg]
-    preset = args.preset or _DEFAULT_PRESET[args.command]
-    return preset_scenarios(preset, seed=args.seed, trials=args.trials)
+    if not args.config:
+        return preset_scenarios(args.preset or args.default_preset,
+                                seed=args.seed, trials=args.trials)
+    overrides = {key: value for key, value in (("master_seed", args.seed), ("trials", args.trials))
+                 if value is not None}
+    return [dataclasses.replace(parse_config(args.config), **overrides)]
 
 
 def _config_bytes(args, scenarios) -> bytes:
@@ -187,6 +169,15 @@ def cmd_factorize(args) -> int:
     print(f"residual <= 0.1:    {np.mean(residuals <= 0.1) * 100:.1f}%")
     write_manifest(out_dir, _config_bytes(args, scenarios), cfg.master_seed, [])
     return 0
+
+
+# name, handler, help, default preset
+_COMMANDS = (
+    ("rank-profile", cmd_rank_profile, "mean singular-energy profiles per path count", "fig2"),
+    ("capacity-sweep", cmd_capacity_sweep, "Monte Carlo capacity rows over an SNR grid", "fig5"),
+    ("estimate-demo", cmd_estimate_demo, "single estimation run with diagnostics", "fig5"),
+    ("factorize", cmd_factorize, "constant-modulus factorization residual report", "fig5"),
+)
 
 
 def main(argv=None) -> int:

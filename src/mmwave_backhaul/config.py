@@ -1,173 +1,152 @@
 """Scenario configuration: YAML parsing, validation, rendering, presets.
 
-Config files are flat YAML mappings with explicit keys; unknown keys
-are rejected and invariant violations name the offending key with its
-line in the file.  ``render_config`` writes a config back out such that
+The annotated fields of :class:`ScenarioConfig`, and of
+:class:`EstimationConfig` under ``estimation``, are the schema: field
+names are the keys, fields without a default are required, and values
+are converted to the annotated types.  Unknown keys are rejected and
+invariant violations name the offending key with its line in the file.
+``render_config`` writes a config back out such that
 parse -> render -> parse is the identity.
 """
 
 from __future__ import annotations
 
-import io
+import dataclasses
+import math
 import os
-from dataclasses import fields
+import types
+import typing
 
 import numpy as np
 import yaml
 
 from .errors import ConfigNotFoundError, ConfigSyntaxError, ConfigValidationError
 from .estimation import EstimationConfig
-from .simulation import ALLOCATIONS, SCHEMES, ScenarioConfig
+from .simulation import ALLOCATIONS, ScenarioConfig
 
 __all__ = [
     "parse_config",
     "parse_config_text",
     "render_config",
     "preset_scenarios",
-    "override_scenario",
     "PRESET_NAMES",
 ]
 
 PRESET_NAMES = ("fig2", "fig5")
 
-_SCALAR_KEYS = {
-    "n_ma": int,
-    "n_sm": int,
-    "k_users": int,
-    "n_bb_ma": int,
-    "n_bb_sm": int,
-    "k_factor_db": float,
-    "l_min": int,
-    "l_max": int,
-    "spacing": float,
-    "path_loss": float,
-    "noise_var": float,
-    "trials": int,
-    "allocation": str,
-    "master_seed": int,
-}
-_REQUIRED_KEYS = ("n_ma", "n_sm", "k_users", "n_bb_ma", "n_bb_sm")
-_ESTIMATION_KEYS = {
-    "l_ma": int,
-    "l_sm": int,
-    "keep": int,
-    "n_bb_ma": int,
-    "n_bb_sm": int,
-    "snr_db": float,
-    "rank_threshold": float,
-    "max_paths": int,
-    "merge_tol": float,
-}
+
+def _keys(cls) -> dict:
+    """Config keys of a dataclass: field name -> (annotated type, required)."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+        if f.metadata.get("config_key", True)
+    }
 
 
-def _compose(text: str):
+def _error(source: str, line: int, message: str) -> ConfigValidationError:
+    return ConfigValidationError(f"{source}, line {line}: {message}")
+
+
+def _compose(text: str) -> yaml.MappingNode:
     try:
         root = yaml.compose(text)
     except yaml.YAMLError as exc:
         raise ConfigSyntaxError(f"malformed config: {exc}") from exc
     if root is None:
-        return {}
+        return yaml.MappingNode("tag:yaml.org,2002:map", [])
     if not isinstance(root, yaml.MappingNode):
         raise ConfigSyntaxError("config must be a key/value mapping")
-    return _mapping_items(root)
+    return root
 
 
-def _mapping_items(node: yaml.MappingNode):
+def _mapping_items(node: yaml.MappingNode, source: str):
     items = {}
     for key_node, value_node in node.value:
         key = key_node.value
         line = key_node.start_mark.line + 1
         if key in items:
-            raise ConfigSyntaxError(f"line {line}: duplicate key {key!r}")
+            raise ConfigSyntaxError(f"{source}, line {line}: duplicate key {key!r}")
         items[key] = (value_node, line)
     return items
 
 
-def _scalar(value_node, line, kind, key):
-    try:
-        raw = yaml.safe_load(io.StringIO(yaml.serialize(value_node)))
-    except yaml.YAMLError as exc:
-        raise ConfigSyntaxError(f"line {line}: bad value for {key!r}: {exc}") from exc
-    if raw is None:
-        return None
-    try:
-        if kind is int:
-            if isinstance(raw, bool) or int(raw) != raw:
-                raise ValueError
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            if not isinstance(raw, str):
-                raise ValueError
-            return raw
-    except (TypeError, ValueError):
-        pass
-    raise ConfigValidationError(f"line {line}: {key!r} must be a {kind.__name__}, got {raw!r}")
-
-
-def _sequence(value_node, line, key):
-    raw = yaml.safe_load(io.StringIO(yaml.serialize(value_node)))
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigValidationError(f"line {line}: {key!r} must be a non-empty list")
-    return raw
-
-
-def parse_config_text(text: str, source: str = "<string>") -> ScenarioConfig:
-    """Parse YAML config text into a validated :class:`ScenarioConfig`."""
-    items = _compose(text)
+def _build(cls, node: yaml.MappingNode, source: str, section: str = ""):
+    """Construct ``cls`` from a mapping node, locating every error by line."""
+    keys = _keys(cls)
+    items = _mapping_items(node, source)
     kwargs = {}
-    for key, (node, line) in items.items():
-        if key in _SCALAR_KEYS:
-            kwargs[key] = _scalar(node, line, _SCALAR_KEYS[key], key)
-        elif key == "snr_grid_db":
-            raw = _sequence(node, line, key)
-            try:
-                kwargs[key] = tuple(float(v) for v in raw)
-            except (TypeError, ValueError):
-                raise ConfigValidationError(f"line {line}: snr_grid_db entries must be numbers")
-        elif key == "schemes":
-            raw = _sequence(node, line, key)
-            for scheme in raw:
-                if scheme not in SCHEMES:
-                    raise ConfigValidationError(
-                        f"line {line}: unknown scheme {scheme!r} (choose from {', '.join(SCHEMES)})"
-                    )
-            kwargs[key] = tuple(raw)
-        elif key == "estimation":
-            if not isinstance(node, yaml.MappingNode):
-                raise ConfigValidationError(f"line {line}: estimation must be a mapping")
-            kwargs[key] = _parse_estimation(node)
-        else:
-            raise ConfigValidationError(f"line {line}: unknown key {key!r} in {source}")
-    for key in _REQUIRED_KEYS:
-        if key not in kwargs:
+    for key, (value_node, line) in items.items():
+        if key not in keys:
+            raise _error(source, line, f"unknown {section}key {key!r}")
+        kwargs[key] = _coerce(value_node, keys[key][0], key, source, line)
+    for key, (_, required) in keys.items():
+        if required and key not in kwargs:
             raise ConfigValidationError(f"missing required key {key!r} in {source}")
     try:
-        return ScenarioConfig(**kwargs)
-    except ConfigValidationError as exc:
+        return cls(**kwargs)
+    except ValueError as exc:
         raise _locate(exc, items, source) from None
 
 
-def _locate(exc: ConfigValidationError, items, source: str) -> ConfigValidationError:
+def _locate(exc: ValueError, items, source: str) -> ConfigValidationError:
     # Attach the line of the first key mentioned in the message, if any.
     message = str(exc)
     for key, (_, line) in items.items():
         if key in message:
-            return ConfigValidationError(f"{source}, line {line}: {message}")
+            return _error(source, line, message)
     return ConfigValidationError(f"{source}: {message}")
 
 
-def _parse_estimation(node: yaml.MappingNode) -> EstimationConfig:
-    kwargs = {}
-    for key, (value_node, line) in _mapping_items(node).items():
-        if key not in _ESTIMATION_KEYS:
-            raise ConfigValidationError(f"line {line}: unknown estimation key {key!r}")
-        kwargs[key] = _scalar(value_node, line, _ESTIMATION_KEYS[key], key)
+def _coerce(node, kind, key: str, source: str, line: int):
+    """Convert one YAML value node to the annotated field type ``kind``."""
+    optional = typing.get_origin(kind) in (typing.Union, types.UnionType)
+    if optional:  # ``X | None``, the only union the schema uses
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+    if dataclasses.is_dataclass(kind) and isinstance(node, yaml.MappingNode):
+        return _build(kind, node, source, section=f"{key} ")
     try:
-        return EstimationConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigValidationError(f"estimation: {exc}") from None
+        raw = yaml.SafeLoader("").construct_document(node)
+    except yaml.YAMLError as exc:
+        raise ConfigSyntaxError(f"{source}, line {line}: bad value for {key!r}: {exc}") from exc
+    if raw is None and optional:
+        return None
+    try:
+        if typing.get_origin(kind) is tuple:
+            if not isinstance(raw, list):
+                raise ValueError
+            return tuple(_scalar(item, typing.get_args(kind)[0]) for item in raw)
+        return _scalar(raw, kind)
+    except (ValueError, OverflowError):
+        raise _error(source, line, f"{key!r} must be a {_type_name(kind)}, got {raw!r}") from None
+
+
+def _scalar(raw, kind):
+    """``raw`` as a finite ``kind`` (str, int or float); ValueError if it is not one."""
+    if isinstance(raw, bool):
+        raise ValueError
+    if kind is str and isinstance(raw, str):
+        return raw
+    if kind is int and (isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
+        return int(raw)
+    if kind is float and isinstance(raw, (int, float, str)):
+        # Strings too: YAML 1.1 reads an exponent without a dot, such as 1e-3, as one.
+        value = float(raw)
+        if math.isfinite(value):
+            return value
+    raise ValueError
+
+
+def _type_name(kind) -> str:
+    if typing.get_origin(kind) is tuple:
+        return f"list of {typing.get_args(kind)[0].__name__}"
+    return "mapping" if dataclasses.is_dataclass(kind) else kind.__name__
+
+
+def parse_config_text(text: str, source: str = "<string>") -> ScenarioConfig:
+    """Parse YAML config text into a validated :class:`ScenarioConfig`."""
+    return _build(ScenarioConfig, _compose(text), source)
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -186,29 +165,22 @@ def parse_config(path) -> ScenarioConfig:
 
 def render_config(cfg: ScenarioConfig) -> str:
     """Serialize a scenario back to YAML (parse -> render -> parse round-trips)."""
-    data = {}
-    for f in fields(ScenarioConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "estimation":
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        if isinstance(value, (np.integer,)):
-            value = int(value)
-        if isinstance(value, (np.floating,)):
-            value = float(value)
-        data[f.name] = value
-    if cfg.estimation is not None:
-        est = {}
-        for f in fields(EstimationConfig):
-            value = getattr(cfg.estimation, f.name)
-            if f.name == "merge_tol" and value is None:
-                continue
-            if f.name == "path_loss":
-                continue  # follows the scenario's path_loss
-            est[f.name] = value
-        data["estimation"] = est
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=None)
+    return yaml.safe_dump(_plain(cfg), sort_keys=True, default_flow_style=None)
+
+
+def _plain(value):
+    # The YAML data that parses back to ``value``; None stands for an absent key.
+    if dataclasses.is_dataclass(value):
+        return {
+            key: _plain(getattr(value, key))
+            for key in _keys(type(value))
+            if getattr(value, key) is not None
+        }
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
 
 
 def preset_scenarios(name: str, seed: int | None = None, trials: int | None = None):
@@ -220,41 +192,29 @@ def preset_scenarios(name: str, seed: int | None = None, trials: int | None = No
     factors {0, 10} dB and both power allocations.
     """
     if name == "fig2":
-        cfg = ScenarioConfig(
+        scenarios = [ScenarioConfig(
             n_ma=512, n_sm=32, k_users=1, n_bb_ma=16, n_bb_sm=4,
             k_factor_db=0.0, l_min=1, l_max=6, trials=1000,
             schemes=("hybrid_ideal",),
-        )
-        scenarios = [override_scenario(cfg, seed, trials)]
+        )]
     elif name == "fig5":
-        scenarios = []
-        for k_factor in (0.0, 10.0):
-            for allocation in ALLOCATIONS:
-                cfg = ScenarioConfig(
-                    n_ma=512, n_sm=32, k_users=4, n_bb_ma=16, n_bb_sm=4,
-                    k_factor_db=k_factor, l_min=2, l_max=6,
-                    snr_grid_db=tuple(float(s) for s in range(-10, 35, 5)),
-                    trials=100,
-                    schemes=("hybrid_ideal", "hybrid_estimated", "full_digital"),
-                    allocation=allocation,
-                    estimation=EstimationConfig(),
-                )
-                scenarios.append(override_scenario(cfg, seed, trials))
+        scenarios = [
+            ScenarioConfig(
+                n_ma=512, n_sm=32, k_users=4, n_bb_ma=16, n_bb_sm=4,
+                k_factor_db=k_factor, l_min=2, l_max=6,
+                snr_grid_db=tuple(float(s) for s in range(-10, 35, 5)),
+                trials=100,
+                schemes=("hybrid_ideal", "hybrid_estimated", "full_digital"),
+                allocation=allocation,
+                estimation=EstimationConfig(),
+            )
+            for k_factor in (0.0, 10.0)
+            for allocation in ALLOCATIONS
+        ]
     else:
         raise ConfigValidationError(
             f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})"
         )
-    return scenarios
-
-
-def override_scenario(cfg: ScenarioConfig, seed, trials) -> ScenarioConfig:
-    updates = {}
-    if seed is not None:
-        updates["master_seed"] = int(seed)
-    if trials is not None:
-        updates["trials"] = int(trials)
-    if not updates:
-        return cfg
-    values = {f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}
-    values.update(updates)
-    return ScenarioConfig(**values)
+    overrides = {key: value for key, value in (("master_seed", seed), ("trials", trials))
+                 if value is not None}
+    return [dataclasses.replace(cfg, **overrides) for cfg in scenarios]

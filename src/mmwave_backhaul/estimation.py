@@ -13,7 +13,7 @@ estimate, and the channel is rebuilt from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,7 +114,8 @@ class EstimationConfig:
     rank_threshold: float = 1e-2
     max_paths: int = 8
     merge_tol: float | None = None
-    path_loss: float = 1.0
+    # Follows the scenario's path_loss, so it is not a config key.
+    path_loss: float = field(default=1.0, metadata={"config_key": False})
 
     def __post_init__(self):
         for name in ("l_ma", "l_sm", "keep", "n_bb_ma", "n_bb_sm", "max_paths"):

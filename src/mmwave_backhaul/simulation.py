@@ -78,9 +78,9 @@ class ScenarioConfig:
     spacing: float = 0.5
     path_loss: float = 1.0
     noise_var: float = 1.0
-    snr_grid_db: tuple = _DEFAULT_SNR_GRID
+    snr_grid_db: tuple[float, ...] = _DEFAULT_SNR_GRID
     trials: int = 100
-    schemes: tuple = ("hybrid_ideal", "full_digital")
+    schemes: tuple[str, ...] = ("hybrid_ideal", "full_digital")
     allocation: str = "waterfilling"
     estimation: EstimationConfig | None = None
     master_seed: int = 0
@@ -109,19 +109,24 @@ class ScenarioConfig:
                 f"full_digital needs k_users*n_sm <= n_ma: "
                 f"{self.k_users}*{self.n_sm} > {self.n_ma}"
             )
-        if not (1 <= self.l_min <= self.l_max):
-            raise ConfigValidationError("need 1 <= l_min <= l_max")
-        if self.spacing <= 0 or self.path_loss <= 0 or self.noise_var <= 0:
-            raise ConfigValidationError("spacing, path_loss and noise_var must be positive")
+        try:  # the path law and the element spacing check themselves
+            self.path_distribution()
+            self.macro_geometry()
+        except ValueError as exc:
+            raise ConfigValidationError(str(exc)) from None
+        if self.noise_var <= 0:
+            raise ConfigValidationError("noise_var must be positive")
         if not self.snr_grid_db:
-            raise ConfigValidationError("snr_grid_db must not be empty")
+            raise ConfigValidationError("snr_grid_db must be a non-empty list")
         if self.trials < 1:
             raise ConfigValidationError("trials must be >= 1")
         if not self.schemes:
-            raise ConfigValidationError("schemes must not be empty")
+            raise ConfigValidationError("schemes must be a non-empty list")
         for scheme in self.schemes:
             if scheme not in SCHEMES:
-                raise ConfigValidationError(f"unknown scheme {scheme!r}")
+                raise ConfigValidationError(
+                    f"unknown scheme {scheme!r} in schemes (choose from {', '.join(SCHEMES)})"
+                )
         if self.allocation not in ALLOCATIONS:
             raise ConfigValidationError(f"unknown allocation {self.allocation!r}")
         if "hybrid_estimated" in self.schemes and self.estimation is None:

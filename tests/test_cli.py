@@ -4,14 +4,20 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwave_backhaul import (
+    ALLOCATIONS,
+    SCHEMES,
     CapacityResult,
     CapacityRow,
     ConfigNotFoundError,
     ConfigSyntaxError,
     ConfigValidationError,
+    EstimationConfig,
     RankProfileTable,
+    ScenarioConfig,
     emit_csv,
     manifest_matches,
     parse_config,
@@ -27,6 +33,43 @@ k_users: 2
 n_bb_ma: 4
 n_bb_sm: 2
 """
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COUNTS = st.integers(1, 64)
+
+ESTIMATIONS = st.builds(
+    EstimationConfig,
+    l_ma=COUNTS, l_sm=COUNTS, keep=COUNTS, n_bb_ma=COUNTS, n_bb_sm=COUNTS,
+    snr_db=FINITE,
+    rank_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    max_paths=COUNTS,
+    merge_tol=st.none() | POSITIVE,
+)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios over the whole schema, with and without estimation."""
+    k_users = draw(st.integers(1, 4))
+    n_bb_sm = draw(st.integers(1, 4))
+    n_bb_ma = draw(st.integers(k_users * n_bb_sm, 20))
+    n_sm = draw(st.integers(n_bb_sm, 40))
+    estimation = draw(st.none() | ESTIMATIONS)
+    allowed = SCHEMES if estimation else tuple(s for s in SCHEMES if s != "hybrid_estimated")
+    schemes = tuple(draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True)))
+    n_ma_min = max(n_bb_ma, k_users * n_sm if "full_digital" in schemes else 1)
+    l_min = draw(st.integers(1, 8))
+    return ScenarioConfig(
+        n_ma=draw(st.integers(n_ma_min, 1024)), n_sm=n_sm, k_users=k_users,
+        n_bb_ma=n_bb_ma, n_bb_sm=n_bb_sm,
+        k_factor_db=draw(FINITE), l_min=l_min, l_max=draw(st.integers(l_min, 12)),
+        spacing=draw(POSITIVE), path_loss=draw(POSITIVE), noise_var=draw(POSITIVE),
+        snr_grid_db=tuple(draw(st.lists(FINITE, min_size=1, max_size=5))),
+        trials=draw(st.integers(1, 10**6)), schemes=schemes,
+        allocation=draw(st.sampled_from(ALLOCATIONS)), estimation=estimation,
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+    )
 
 
 class TestParseConfig:
@@ -73,6 +116,21 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError, match="non-empty list"):
             parse_config_text(MINIMAL + "snr_grid_db: []\n")
 
+    @pytest.mark.parametrize("extra, key, line", [
+        ("trials: null\n", "trials", 6),
+        ("k_factor_db: null\n", "k_factor_db", 6),
+        ("spacing: .nan\n", "spacing", 6),
+        ("noise_var: .inf\n", "noise_var", 6),
+        ("k_factor_db: true\n", "k_factor_db", 6),
+        ("snr_grid_db: [true, 10]\n", "snr_grid_db", 6),
+        ("estimation: {keep: null}\n", "keep", 6),
+        ("estimation:\n  snr_db: .nan\n", "snr_db", 7),
+        ("spacing: 0.5\npath_loss: 1.0\nnoise_var: -1\n", "noise_var", 8),
+    ])
+    def test_bad_value_names_its_line(self, extra, key, line):
+        with pytest.raises(ConfigValidationError, match=f"line {line}: .*{key}"):
+            parse_config_text(MINIMAL + extra)
+
     def test_round_trip_identity(self):
         for text in (
             MINIMAL,
@@ -81,6 +139,11 @@ class TestParseConfig:
         ):
             cfg = parse_config_text(text)
             assert parse_config_text(render_config(cfg)) == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios())
+    def test_round_trip_property(self, cfg):
+        assert parse_config_text(render_config(cfg)) == cfg
 
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "scenario.yaml"
@@ -241,6 +304,13 @@ class TestCliEndToEnd:
         bad.write_text(MINIMAL.replace("k_users: 2", "k_users: 3"))
         proc = run_cli("capacity-sweep", "--config", str(bad))
         assert proc.returncode == 2
+
+    def test_null_value_exit_code(self, tmp_path):
+        bad = tmp_path / "null.yaml"
+        bad.write_text(MINIMAL + "trials: null\n")
+        proc = run_cli("capacity-sweep", "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "line 6" in proc.stderr
 
     def test_config_and_preset_conflict(self, tmp_path):
         cfg = self.write_config(tmp_path)
