@@ -149,10 +149,9 @@ def cmd_factorize(args) -> int:
     out_dir = _prepare_out(args)
     tx_geom, rx_geom = cfg.macro_geometry(), cfg.small_geometry()
     dist = cfg.path_distribution()
-    trials = args.trials if args.trials is not None else 20
     residuals = []
     iterations = []
-    for trial in range(trials):
+    for trial in range(cfg.trials):
         rng = derive_rng(cfg.master_seed, trial, 0)
         for _ in range(cfg.k_users):
             h = assemble_channel(tx_geom, rx_geom, sample_paths(dist, rng))

@@ -123,6 +123,8 @@ class EstimationConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 < self.rank_threshold < 1:
             raise ValueError("rank_threshold must be in (0, 1)")
+        if self.merge_tol is not None and self.merge_tol <= 0:
+            raise ValueError("merge_tol must be positive")
         if self.path_loss <= 0:
             raise ValueError("path_loss must be positive")
 

@@ -4,9 +4,13 @@ A target matrix is approximated by a small digital matrix times an
 analog matrix whose entries all share one modulus (a phase-shifter
 network can only rotate).  The alternating iteration copies phases into
 the analog stage, then refits the digital stage by least squares, then
-refreshes the phase-copy target through the digital pseudoinverse.
-The iteration is not provably monotone, so the best iterate seen is
-returned rather than the last.
+refreshes the phase-copy target through the inverse of the square
+digital stage.  Both steps solve R x R systems: the least-squares refit
+uses the normal equations of the full-row-rank analog stage, and a
+pseudoinverse is taken only when one of the R x R matrices is too
+ill-conditioned (or, for a rank-deficient target, singular) to invert
+accurately.  The iteration is not provably monotone, so the best
+iterate seen is returned rather than the last.
 """
 
 from __future__ import annotations
@@ -70,7 +74,49 @@ def phase_project(m: np.ndarray, modulus: float) -> np.ndarray:
     Zero entries map to ``modulus`` with phase 0 (``np.angle(0) == 0``),
     which keeps the projection deterministic.
     """
-    return modulus * np.exp(1j * np.angle(m))
+    theta = np.angle(m)
+    projected = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=projected.real)
+    np.sin(theta, out=projected.imag)
+    projected *= modulus
+    return projected
+
+
+# An R x R inverse stands in for a pseudoinverse only while it is well
+# conditioned: the largest entry of the matrix times the largest entry
+# of its inverse (within a factor R**2 of the condition number) must not
+# exceed _MAX_COND.  The Gram matrix squares the analog stage's condition
+# number, which climbs past 1e5 on slowly converging link runs, where
+# its normal equations would lose digits; rank-deficient targets make
+# both matrices singular.  Such steps take the pseudoinverse, as about
+# 0.6% of the link refits do.
+_MAX_COND = 1e4
+
+
+def _inverse(m: np.ndarray) -> np.ndarray | None:
+    """Inverse of square ``m``, or None unless ``m`` is well conditioned."""
+    try:
+        inverse = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return None
+    return inverse if np.abs(inverse).max() <= _MAX_COND / np.abs(m).max() else None
+
+
+def _refit_digital(target: np.ndarray, analog: np.ndarray) -> np.ndarray:
+    """Least-squares ``target @ pinv(analog)`` from the R x R normal equations."""
+    analog_h = analog.conj().T
+    gram_inv = _inverse(analog @ analog_h)
+    if gram_inv is None:
+        return target @ np.linalg.pinv(analog)
+    return target @ analog_h @ gram_inv
+
+
+def _refresh_shadow(digital: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Phase-copy target ``inv(digital) @ target`` for the square digital stage."""
+    digital_inv = _inverse(digital)
+    if digital_inv is None:
+        return np.linalg.pinv(digital) @ target
+    return digital_inv @ target
 
 
 def factorize(target: np.ndarray, opts: FactorizeOptions | None = None) -> HybridPrecoder:
@@ -107,14 +153,14 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None) -> Hybri
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         analog = phase_project(shadow, modulus)
-        digital = target @ np.linalg.pinv(analog)
+        digital = _refit_digital(target, analog)
         residual = np.linalg.norm(target - digital @ analog) / target_norm
         if residual < best_residual:
             best_digital, best_analog, best_residual = digital, analog, residual
         if previous is not None and abs(previous - residual) < opts.stall_tolerance:
             break
         previous = residual
-        shadow = np.linalg.pinv(digital) @ target
+        shadow = _refresh_shadow(digital, target)
 
     return HybridPrecoder(
         digital=best_digital,

@@ -126,6 +126,8 @@ class TestParseConfig:
         ("estimation: {keep: null}\n", "keep", 6),
         ("estimation:\n  snr_db: .nan\n", "snr_db", 7),
         ("spacing: 0.5\npath_loss: 1.0\nnoise_var: -1\n", "noise_var", 8),
+        ("estimation:\n  merge_tol: 0\n", "merge_tol", 7),
+        ("estimation:\n  merge_tol: -1\n", "merge_tol", 7),
     ])
     def test_bad_value_names_its_line(self, extra, key, line):
         with pytest.raises(ConfigValidationError, match=f"line {line}: .*{key}"):
@@ -293,6 +295,12 @@ class TestCliEndToEnd:
                        "--out", str(tmp_path / "fz"))
         assert proc.returncode == 0, proc.stderr
         assert "relative residual" in proc.stdout
+
+    def test_factorize_uses_config_trials(self, tmp_path):
+        cfg = self.write_config(tmp_path)  # trials: 2, k_users: 2
+        proc = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "fz"))
+        assert proc.returncode == 0, proc.stderr
+        assert "targets factorized: 4 " in proc.stdout
 
     def test_config_error_exit_code(self, tmp_path):
         proc = run_cli("capacity-sweep", "--config", str(tmp_path / "missing.yaml"))

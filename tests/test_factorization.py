@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,41 @@ from mmwave_backhaul import (
     sample_paths,
     truncated_svd,
 )
+from mmwave_backhaul.simulation import _LINK_FACTORIZE_OPTS
 
 
-def precoder_target(n_tx, n_rx, n_paths, rank, seed):
+def channel_svd(n_tx, n_rx, n_paths, rank, seed):
     rng = np.random.default_rng(seed)
     paths = sample_paths(PathDistribution(n_paths, n_paths), rng)
     h = assemble_channel(ArrayGeometry(n_tx), ArrayGeometry(n_rx), paths)
-    return truncated_svd(h, rank).left.conj().T
+    return truncated_svd(h, rank)
+
+
+def precoder_target(n_tx, n_rx, n_paths, rank, seed):
+    return channel_svd(n_tx, n_rx, n_paths, rank, seed).left.conj().T
+
+
+def combiner_target(n_tx, n_rx, n_paths, rank, seed):
+    """The (rank, n_rx) target that factorize_combiner hands to factorize."""
+    return channel_svd(n_tx, n_rx, n_paths, rank, seed).right.conj().T
+
+
+def first_iterate_residual(target, modulus):
+    analog = phase_project(target, modulus)
+    digital = target @ np.linalg.pinv(analog)
+    return np.linalg.norm(target - digital @ analog) / np.linalg.norm(target)
+
+
+def rank_deficient_targets():
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((3, 24)) + 1j * rng.standard_normal((3, 24))
+    duplicated = base.copy()
+    duplicated[1] = duplicated[0]
+    zero_row = base.copy()
+    zero_row[2] = 0
+    u = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    v = rng.standard_normal((1, 24)) + 1j * rng.standard_normal((1, 24))
+    return {"duplicated_rows": duplicated, "zero_row": zero_row, "rank_one": u @ v}
 
 
 class TestPhaseProject:
@@ -35,6 +65,15 @@ class TestPhaseProject:
         out = phase_project(np.array([0.0 + 0.0j, 1.0j]), 0.25)
         assert out[0] == 0.25
         np.testing.assert_allclose(out[1], 0.25j, atol=1e-16)
+
+    def test_matches_complex_exponential(self):
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+        m[0, :5] = 0
+        m[1, :3] = rng.standard_normal(3)  # real entries of both signs
+        modulus = 1.0 / np.sqrt(64)
+        expected = modulus * np.exp(1j * np.angle(m))
+        np.testing.assert_allclose(phase_project(m, modulus), expected, rtol=0, atol=1e-15)
 
 
 class TestFactorize:
@@ -107,6 +146,39 @@ class TestFactorize:
         result = factorize(target, FactorizeOptions(modulus=0.07))
         assert result.modulus == 0.07
         assert np.max(np.abs(np.abs(result.analog) - 0.07)) <= 1e-15
+
+    @pytest.mark.parametrize("target", [
+        precoder_target(512, 32, 2, 4, seed=13),
+        precoder_target(512, 32, 5, 4, seed=14),
+        combiner_target(512, 32, 2, 4, seed=15),
+        combiner_target(512, 32, 5, 4, seed=16),
+        # Its analog stage drifts toward rank deficiency over the 600
+        # iterations, so most late steps must take the pseudoinverse.
+        combiner_target(512, 32, 3, 4, seed=51),
+    ], ids=["precoder_2_paths", "precoder_5_paths", "combiner_2_paths", "combiner_5_paths",
+            "combiner_ill_conditioned"])
+    def test_link_options_refit_is_least_squares(self, target):
+        result = factorize(target, _LINK_FACTORIZE_OPTS)
+        oracle = target @ np.linalg.pinv(result.analog)
+        rel = np.linalg.norm(result.digital - oracle) / np.linalg.norm(oracle)
+        assert rel <= 1e-10
+        recon = np.linalg.norm(target - result.digital @ result.analog) / np.linalg.norm(target)
+        assert abs(result.residual - recon) <= 1e-12
+
+    @pytest.mark.parametrize("opts", [None, _LINK_FACTORIZE_OPTS], ids=["default", "link"])
+    @pytest.mark.parametrize("name", ["duplicated_rows", "zero_row", "rank_one"])
+    def test_rank_deficient_target_takes_pseudoinverse(self, name, opts, monkeypatch):
+        target = rank_deficient_targets()[name]
+        first = first_iterate_residual(target, 1.0 / np.sqrt(target.shape[1]))
+        pinv_calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda m: pinv_calls.append(m) or pinv(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = factorize(target, opts)
+        assert pinv_calls
+        assert np.all(np.isfinite(result.digital)) and np.all(np.isfinite(result.analog))
+        assert result.residual <= first + 1e-12
 
     def test_invalid_targets(self):
         with pytest.raises(ValueError):
