@@ -4,7 +4,11 @@ A channel realization is a sum of a small number of plane-wave paths,
 each carrying a complex gain, a departure angle at the transmit array
 and an arrival angle at the receive array.  Because the path count is
 small compared to the antenna counts, the resulting matrix is low rank,
-which is what the precoding and estimation stages exploit.
+which is what the precoding and estimation stages exploit.  The rank
+profile uses that structure directly: with thin QR factorizations
+``A_tx = Q_tx R_tx`` and ``A_rx = Q_rx R_rx`` of the steering matrices,
+the channel's non-zero singular values are those of the at most L x L
+core ``R_tx diag(gains) R_rx^H``, so no full-size matrix is assembled.
 
 All randomness flows through explicit ``numpy.random.Generator``
 instances so that Monte Carlo trials can own independent substreams.
@@ -171,6 +175,16 @@ def singular_energy_profile(
     the result is the mean over trials of ``sigma_i**2 / sum_j sigma_j**2``
     in descending order; the profile is non-negative, non-increasing and
     sums to 1.
+
+    Each draw comes from ``sample_paths`` (the same random stream as
+    assembling the channel), but its singular values come from the core
+    ``(R_tx * gains) @ R_rx^H`` of R-only thin QRs of ``A_tx(aods)`` and
+    ``A_rx(aoas)``: at most L x L, with the same singular values as the
+    channel up to the ``sqrt(n_tx*n_rx/path_loss)`` scale, which cancels
+    in the normalization.  A channel of L paths has rank at most L, so
+    every entry from index L on is exactly 0, not rounding noise, and
+    the result does not depend on the BLAS thread count of a full-size
+    SVD.
     """
     if dist.l_min != dist.l_max:
         raise ValueError("singular_energy_profile needs a fixed path count (l_min == l_max)")
@@ -178,7 +192,9 @@ def singular_energy_profile(
         raise ValueError("trials must be >= 1")
     profile = np.zeros(min(tx.n_elements, rx.n_elements))
     for _ in range(trials):
-        h = assemble_channel(tx, rx, sample_paths(dist, rng))
-        energy = np.linalg.svd(h, compute_uv=False) ** 2
-        profile += energy / energy.sum()
+        paths = sample_paths(dist, rng)
+        r_tx = np.linalg.qr(steering_matrix(tx, paths.aods), mode="r")
+        r_rx = np.linalg.qr(steering_matrix(rx, paths.aoas), mode="r")
+        energy = np.linalg.svd((r_tx * paths.gains) @ r_rx.conj().T, compute_uv=False) ** 2
+        profile[:energy.size] += energy / energy.sum()
     return profile / trials

@@ -175,6 +175,36 @@ class ChannelOracle:
         noise = self._rng.standard_normal(clean.shape) + 1j * self._rng.standard_normal(clean.shape)
         return clean + scale * noise
 
+    def snapshot(self, beam: np.ndarray, n_chains: int, receive: bool = True):
+        """Full-array observation of one fixed beam, ``n_chains`` elements per slot.
+
+        With ``receive`` the far end transmits ``beam`` and the receive
+        array is sampled: ``h^H @ beam``.  Otherwise the far end combines
+        with ``beam`` and the transmit array is sampled: ``beam^H @ h^H``,
+        whose conjugate is the transmit-array snapshot.  Each sub-slot
+        connects the chains to ``n_chains`` distinct elements and draws
+        its noise like one ``observe`` call (real block, then imaginary
+        block), so the noise stream matches a group-by-group
+        ``observe`` with unit selection vectors.  Returns
+        ``(snapshot, slots_used)`` with ``slots_used = ceil(n / n_chains)``.
+        """
+        if n_chains < 1:
+            raise ValueError("n_chains must be >= 1")
+        beam = np.asarray(beam, dtype=complex)
+        clean = self._h_herm @ beam if receive else beam.conj() @ self._h_herm
+        n = clean.size
+        slots = -(-n // n_chains)
+        if self.noise_var == 0:
+            return clean, slots
+        full = n - n % n_chains
+        draws = self._rng.standard_normal((full // n_chains, 2, n_chains))
+        noise = np.empty(n, dtype=complex)
+        noise[:full] = (draws[:, 0] + 1j * draws[:, 1]).ravel()
+        if full < n:
+            tail = self._rng.standard_normal((2, n - full))
+            noise[full:] = tail[0] + 1j * tail[1]
+        return clean + np.sqrt(self.noise_var / 2.0) * noise, slots
+
 
 def dft_codebook(geom: ArrayGeometry, size: int) -> Codebook:
     """Beams whose pointing directions cover sin-space uniformly.
@@ -232,33 +262,6 @@ def coarse_sweep(
     return _sweep_report(ChannelOracle(h, noise_var, rng), tx_cb, rx_cb, keep)
 
 
-def _rx_snapshot(oracle: ChannelOracle, tx_beam: np.ndarray, n_rx: int, n_chains: int):
-    # Assemble the full receive-array observation group by group: each
-    # sub-slot connects n_chains chains to n_chains distinct antennas.
-    snapshot = np.empty(n_rx, dtype=complex)
-    eye = np.eye(n_rx, dtype=complex)
-    slots = 0
-    for start in range(0, n_rx, n_chains):
-        sel = eye[:, start:start + n_chains]
-        snapshot[start:start + n_chains] = oracle.observe(tx_beam, sel)[:, 0]
-        slots += 1
-    return snapshot, slots
-
-
-def _tx_snapshot(oracle: ChannelOracle, rx_beam: np.ndarray, n_tx: int, n_chains: int):
-    # Role-swapped counterpart: sample the transmit-side array in groups
-    # while the other end keeps one combining beam.  The raw observations
-    # are rx^H h^H e_i, whose conjugates form the transmit-array snapshot.
-    raw = np.empty(n_tx, dtype=complex)
-    eye = np.eye(n_tx, dtype=complex)
-    slots = 0
-    for start in range(0, n_tx, n_chains):
-        sel = eye[:, start:start + n_chains]
-        raw[start:start + n_chains] = oracle.observe(sel, rx_beam)[0, :]
-        slots += 1
-    return raw, slots
-
-
 def array_snapshot(
     h: np.ndarray,
     tx_beam: np.ndarray,
@@ -273,13 +276,10 @@ def array_snapshot(
     ``ceil(n_rx / n_chains)``, the number of sub-slots needed to touch
     every antenna with ``n_chains`` baseband chains.
     """
-    if n_chains < 1:
-        raise ValueError("n_chains must be >= 1")
     h = np.asarray(h, dtype=complex)
     if h.shape[1] != rx_geom.n_elements:
         raise ValueError("channel column count must match the receive array")
-    oracle = ChannelOracle(h, noise_var, rng)
-    return _rx_snapshot(oracle, np.asarray(tx_beam, dtype=complex), rx_geom.n_elements, n_chains)
+    return ChannelOracle(h, noise_var, rng).snapshot(tx_beam, n_chains)
 
 
 def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> LineSpectrum:
@@ -481,7 +481,7 @@ def estimate_channel(
     slots_phase2 = 0
     for tx_idx in _top_tx_beams(sweep_power, cfg.keep):
         beam = tx_cb.beams[:, tx_idx]
-        snapshot, slots = _rx_snapshot(oracle, beam, n_rx, cfg.n_bb_sm)
+        snapshot, slots = oracle.snapshot(beam, cfg.n_bb_sm)
         slots_phase2 += slots
         spectrum = line_spectrum_estimate(snapshot, rx_order, cfg.rank_threshold)
         rx_detections.extend(zip(spectrum.frequencies, np.abs(spectrum.coefficients)))
@@ -498,7 +498,7 @@ def estimate_channel(
     slots_phase3 = 0
     for aoa in aoas:
         back_beam = steering_vector(rx_geom, aoa)
-        raw, slots = _tx_snapshot(oracle, back_beam, n_tx, cfg.n_bb_ma)
+        raw, slots = oracle.snapshot(back_beam, cfg.n_bb_ma, receive=False)
         slots_phase3 += slots
         spectrum = line_spectrum_estimate(raw.conj(), tx_order, cfg.rank_threshold)
         tx_detections.extend(zip(spectrum.frequencies, np.abs(spectrum.coefficients)))

@@ -131,6 +131,13 @@ class ScenarioConfig:
             raise ConfigValidationError(f"unknown allocation {self.allocation!r}")
         if "hybrid_estimated" in self.schemes and self.estimation is None:
             raise ConfigValidationError("hybrid_estimated requires an estimation section")
+        if self.estimation is not None:
+            for name in ("n_ma", "n_sm"):
+                if getattr(self, name) < 4:
+                    raise ConfigValidationError(
+                        f"{name} must be >= 4 to estimate the channel (the line-spectral "
+                        f"snapshot fit needs 4 array elements), got {getattr(self, name)}"
+                    )
         if self.master_seed < 0:
             raise ConfigValidationError("master_seed must be non-negative")
 

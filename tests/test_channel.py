@@ -11,6 +11,7 @@ from mmwave_backhaul import (
     singular_energy_profile,
     steering_vector,
 )
+from mmwave_backhaul import channel
 
 
 class TestSteeringVector:
@@ -135,7 +136,55 @@ class TestAssembleChannel:
             PathSet(gains=[1.0], aods=[0.1], aoas=[0.2], path_loss=0.0)
 
 
+def dense_profile(tx, rx, dist, trials, rng):
+    """The profile from full SVDs of assembled channels, on the same draws."""
+    profile = np.zeros(min(tx.n_elements, rx.n_elements))
+    for _ in range(trials):
+        h = assemble_channel(tx, rx, channel.sample_paths(dist, rng))
+        energy = np.linalg.svd(h, compute_uv=False) ** 2
+        profile += energy / energy.sum()
+    return profile / trials
+
+
+def assert_matches_dense(tx, rx, dist, trials, seed):
+    prof = singular_energy_profile(tx, rx, dist, trials, np.random.default_rng(seed))
+    dense = dense_profile(tx, rx, dist, trials, np.random.default_rng(seed))
+    np.testing.assert_allclose(prof, dense, rtol=0, atol=1e-12)
+    # Rank is at most L: the tail is exactly zero, not rounding noise.
+    assert np.all(prof[dist.l_max:] == 0.0)
+    return prof
+
+
 class TestSingularEnergyProfile:
+    @pytest.mark.parametrize("n_paths", range(1, 7))
+    def test_matches_dense_svd_fig2_arrays(self, n_paths):
+        assert_matches_dense(ArrayGeometry(512), ArrayGeometry(32),
+                             PathDistribution(n_paths, n_paths), 20, 100 + n_paths)
+
+    def test_matches_dense_svd_colliding_angles(self, monkeypatch):
+        draw = channel.sample_paths
+
+        def colliding(dist, rng):
+            paths = draw(dist, rng)
+            paths.aods[1] = paths.aods[0]
+            paths.aoas[3] = paths.aoas[2]
+            return paths
+
+        monkeypatch.setattr(channel, "sample_paths", colliding)
+        prof = assert_matches_dense(ArrayGeometry(512), ArrayGeometry(32),
+                                    PathDistribution(4, 4), 20, 7)
+        assert prof[3] <= 1e-12  # two shared ends leave rank 3
+
+    def test_matches_dense_svd_more_paths_than_elements(self):
+        prof = assert_matches_dense(ArrayGeometry(16), ArrayGeometry(4),
+                                    PathDistribution(6, 6), 30, 8)
+        assert prof.shape == (4,)
+        assert np.all(prof > 0)
+
+    def test_matches_dense_svd_with_path_loss(self):
+        assert_matches_dense(ArrayGeometry(64), ArrayGeometry(16),
+                             PathDistribution(3, 3, k_factor_db=5.0, path_loss=40.0), 20, 9)
+
     def test_single_path_all_energy_in_first(self):
         tx, rx = ArrayGeometry(32), ArrayGeometry(8)
         prof = singular_energy_profile(tx, rx, PathDistribution(1, 1), 20, np.random.default_rng(9))

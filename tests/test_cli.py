@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -18,11 +19,13 @@ from mmwave_backhaul import (
     EstimationConfig,
     RankProfileTable,
     ScenarioConfig,
+    SingularCouplingError,
     emit_csv,
     manifest_matches,
     parse_config,
     read_manifest,
 )
+from mmwave_backhaul import cli
 from mmwave_backhaul.config import parse_config_text, preset_scenarios, render_config
 from mmwave_backhaul.output import config_digest, write_manifest
 
@@ -54,11 +57,12 @@ def scenarios(draw):
     k_users = draw(st.integers(1, 4))
     n_bb_sm = draw(st.integers(1, 4))
     n_bb_ma = draw(st.integers(k_users * n_bb_sm, 20))
-    n_sm = draw(st.integers(n_bb_sm, 40))
     estimation = draw(st.none() | ESTIMATIONS)
+    n_min = 4 if estimation else 1  # the snapshot fit needs 4 elements per array
+    n_sm = draw(st.integers(max(n_bb_sm, n_min), 40))
     allowed = SCHEMES if estimation else tuple(s for s in SCHEMES if s != "hybrid_estimated")
     schemes = tuple(draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True)))
-    n_ma_min = max(n_bb_ma, k_users * n_sm if "full_digital" in schemes else 1)
+    n_ma_min = max(n_bb_ma, n_min, k_users * n_sm if "full_digital" in schemes else 1)
     l_min = draw(st.integers(1, 8))
     return ScenarioConfig(
         n_ma=draw(st.integers(n_ma_min, 1024)), n_sm=n_sm, k_users=k_users,
@@ -239,12 +243,13 @@ class TestManifest:
         )
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "mmwave_backhaul", *args],
         capture_output=True,
         text=True,
         timeout=600,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -278,6 +283,17 @@ class TestCliEndToEnd:
         lines = (out / "rank_profile.csv").read_text().splitlines()
         assert lines[0] == "l,index,mean_energy"
         assert len(lines) == 1 + 2 * 8  # l in {1,2}, 8 singular indices
+
+    def test_rank_profile_independent_of_blas_threads(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = run_cli("rank-profile", "--preset", "fig2", "--seed", "42", "--trials", "20",
+                           "--out", str(out),
+                           env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "rank_profile.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_estimate_demo(self, tmp_path):
         cfg = self.write_config(
@@ -326,16 +342,27 @@ class TestCliEndToEnd:
         assert proc.returncode == 2
         assert "not both" in proc.stderr
 
-    def test_runtime_error_exit_code(self, tmp_path):
+    def test_pencil_too_short_is_config_error(self, tmp_path):
         # A two-element receive array cannot support the line-spectral
-        # snapshot fit, which surfaces as a runtime failure (exit 3).
+        # snapshot fit, so the config is rejected when it is parsed.
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text(
             "n_ma: 16\nn_sm: 2\nk_users: 1\nn_bb_ma: 2\nn_bb_sm: 1\n"
             "estimation:\n  l_ma: 8\n  l_sm: 2\n  keep: 2\n  n_bb_ma: 2\n  n_bb_sm: 1\n"
         )
         proc = run_cli("estimate-demo", "--config", str(cfg))
-        assert proc.returncode == 3
+        assert proc.returncode == 2
+        assert "line 2: n_sm must be >= 4" in proc.stderr
+
+    def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularCouplingError("coupling matrix is singular")
+
+        monkeypatch.setattr(cli, "run_scenario", singular)
+        cfg = self.write_config(tmp_path)
+        assert cli.main(["capacity-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert "SingularCouplingError" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -117,6 +117,41 @@ class TestArraySnapshot:
         assert correlation >= 1.0 - 1e-10
 
 
+    @pytest.mark.parametrize("receive", [True, False])
+    @pytest.mark.parametrize("n_tx, n_rx, n_chains", [(512, 32, 4), (64, 30, 4), (30, 8, 16)])
+    def test_matches_grouped_observations(self, receive, n_tx, n_rx, n_chains):
+        # One slot connects n_chains chains to n_chains distinct elements:
+        # the snapshot must equal one observe() call per group of unit
+        # selection vectors, noise draws included.
+        tx, rx = ArrayGeometry(n_tx), ArrayGeometry(n_rx)
+        h = assemble_channel(tx, rx, separated_paths(11, 3, tx, rx))
+        beam = steering_vector(tx if receive else rx, 0.7)
+        n = n_rx if receive else n_tx
+        eye = np.eye(n, dtype=complex)
+        for channel, exact in ((np.zeros_like(h), True), (h, False)):
+            streams = np.random.default_rng(12), np.random.default_rng(12)
+            grouped = ChannelOracle(channel, 0.3, streams[0])
+            expected = np.concatenate([
+                grouped.observe(beam, eye[:, s:s + n_chains])[:, 0] if receive
+                else grouped.observe(eye[:, s:s + n_chains], beam)[0, :]
+                for s in range(0, n, n_chains)
+            ])
+            oracle = ChannelOracle(channel, 0.3, streams[1])
+            snap, slots = oracle.snapshot(beam, n_chains, receive=receive)
+            assert slots == -(-n // n_chains)
+            if exact:
+                assert np.array_equal(snap, expected)
+            else:
+                assert np.max(np.abs(snap - expected)) <= 1e-12 * np.max(np.abs(expected))
+            # Both oracles leave their streams at the same point.
+            assert streams[0].random() == streams[1].random()
+
+    def test_rejects_zero_chains(self):
+        oracle = ChannelOracle(np.ones((4, 4)), 0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            oracle.snapshot(np.ones(4), 0)
+
+
 class TestLineSpectrum:
     def synth(self, freqs, coefs, n):
         basis = np.exp(2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)

@@ -86,6 +86,16 @@ class TestScenarioValidation:
         with pytest.raises(ConfigValidationError, match="estimation"):
             ScenarioConfig(**self.base(schemes=("hybrid_estimated",)))
 
+    def test_estimation_needs_four_elements_per_array(self):
+        est = EstimationConfig()
+        with pytest.raises(ConfigValidationError, match="n_sm must be >= 4"):
+            ScenarioConfig(**self.base(n_sm=3, estimation=est))
+        with pytest.raises(ConfigValidationError, match="n_ma must be >= 4"):
+            ScenarioConfig(**self.base(n_ma=3, n_bb_ma=2, k_users=1, schemes=("hybrid_ideal",),
+                                       estimation=est))
+        ScenarioConfig(**self.base(n_sm=3))  # no estimation, no pencil
+        ScenarioConfig(**self.base(n_sm=4, estimation=est))
+
     def test_unknown_scheme_and_allocation(self):
         with pytest.raises(ConfigValidationError):
             ScenarioConfig(**self.base(schemes=("mrc",)))
