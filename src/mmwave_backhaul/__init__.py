@@ -58,6 +58,7 @@ from .precoding import (
     TruncatedSvd,
     allocate_power,
     equivalent_channel,
+    factored_svd,
     mu_assemble,
     mu_digital_precoder,
     truncated_svd,

@@ -8,6 +8,7 @@ Subcommands, one per reproducible experiment:
 * ``factorize``       constant-modulus factorization residual report
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/numerical error.
+With ``--debug`` a runtime error also prints its traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -53,6 +55,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
     p.add_argument("--out", default="out", metavar="DIR", help="output directory")
     p.add_argument("--trials", type=int, metavar="N", help="override the trial count")
+    p.add_argument("--debug", action="store_true",
+                   help="print the traceback of a runtime error (exit code 3)")
 
 
 def _load_scenarios(args) -> list[ScenarioConfig]:
@@ -188,6 +192,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime/numerical failures map to exit 3
+        if args.debug:
+            traceback.print_exc()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

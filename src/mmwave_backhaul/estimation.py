@@ -13,6 +13,7 @@ estimate, and the channel is rebuilt from them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,13 +213,23 @@ def dft_codebook(geom: ArrayGeometry, size: int) -> Codebook:
     Beam m points at ``asin(-1 + (2m+1)/size)``, the midpoints of a
     uniform sin-space grid; every column is a unit-norm steering vector.
     At critical sampling (size == n_elements, half-wavelength spacing)
-    the columns are mutually orthogonal.
+    the columns are mutually orthogonal.  The arrays are built once per
+    (geometry, size) and shared read-only between calls.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
+    beams, angles = _codebook_arrays(geom, size)
+    return Codebook(beams=beams, angles=angles)
+
+
+@functools.lru_cache(maxsize=4)
+def _codebook_arrays(geom: ArrayGeometry, size: int):
     sines = -1.0 + (2.0 * np.arange(size) + 1.0) / size
     angles = np.mod(np.arcsin(sines), 2.0 * np.pi)
-    return Codebook(beams=steering_matrix(geom, angles), angles=angles)
+    beams = steering_matrix(geom, angles)
+    beams.flags.writeable = False
+    angles.flags.writeable = False
+    return beams, angles
 
 
 def _top_pairs(power: np.ndarray, keep: int) -> BeamReport:

@@ -11,6 +11,12 @@ pseudoinverse is taken only when one of the R x R matrices is too
 ill-conditioned (or, for a rank-deficient target, singular) to invert
 accurately.  The iteration is not provably monotone, so the best
 iterate seen is returned rather than the last.
+
+The iteration normally starts from the target itself.  A caller that
+knows a constant-modulus matrix spanning the target's row space (the
+array responses of a channel's paths, when every path carries a stream)
+passes it as the start; the first digital refit is then exact and the
+iteration stops at its second step.
 """
 
 from __future__ import annotations
@@ -119,19 +125,22 @@ def _refresh_shadow(digital: np.ndarray, target: np.ndarray) -> np.ndarray:
     return digital_inv @ target
 
 
-def factorize(target: np.ndarray, opts: FactorizeOptions | None = None) -> HybridPrecoder:
+def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
+              start: np.ndarray | None = None) -> HybridPrecoder:
     """Approximate ``target`` (R, N) by digital @ analog with |analog| constant.
 
-    Starts the phase-copy shadow at the target itself, alternates the
-    three update steps, and records the objective ``||target - digital @
-    analog||_F`` after each digital refit.  Stops at ``max_iterations``
-    or when the relative residual change falls below
-    ``stall_tolerance``; the lowest-objective iterate is returned.
+    Starts the phase-copy shadow at ``start`` (R, N), or at the target
+    itself when ``start`` is None, alternates the three update steps,
+    and records the objective ``||target - digital @ analog||_F`` after
+    each digital refit.  Stops at ``max_iterations`` or when the
+    relative residual change falls below ``stall_tolerance``; the
+    lowest-objective iterate is returned.
 
     Raises
     ------
     ValueError
-        If the target is not a matrix with R <= N, or is all zero.
+        If the target is not a matrix with R <= N, is all zero, or
+        ``start`` has a different shape.
     """
     target = np.asarray(target, dtype=complex)
     if target.ndim != 2:
@@ -146,7 +155,12 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None) -> Hybri
     opts = opts or FactorizeOptions()
     modulus = opts.modulus if opts.modulus is not None else 1.0 / np.sqrt(n_elements)
 
-    shadow = target
+    if start is None:
+        shadow = target
+    else:
+        shadow = np.asarray(start, dtype=complex)
+        if shadow.shape != target.shape:
+            raise ValueError(f"start must have the target's shape {target.shape}")
     best_digital = best_analog = None
     best_residual = np.inf
     previous = None
@@ -171,14 +185,18 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None) -> Hybri
     )
 
 
-def factorize_combiner(target: np.ndarray, opts: FactorizeOptions | None = None) -> HybridCombiner:
+def factorize_combiner(target: np.ndarray, opts: FactorizeOptions | None = None,
+                       start: np.ndarray | None = None) -> HybridCombiner:
     """Approximate a combiner ``target`` (N, R) by analog @ digital.
 
-    Runs :func:`factorize` on the conjugate transpose and transposes the
-    factors back, so the analog stage keeps the constant-modulus
-    property and the residual is unchanged.
+    Runs :func:`factorize` on the conjugate transpose (and ``start``,
+    also (N, R), on its conjugate transpose) and transposes the factors
+    back, so the analog stage keeps the constant-modulus property and
+    the residual is unchanged.
     """
-    result = factorize(np.asarray(target, dtype=complex).conj().T, opts)
+    if start is not None:
+        start = np.asarray(start, dtype=complex).conj().T
+    result = factorize(np.asarray(target, dtype=complex).conj().T, opts, start)
     return HybridCombiner(
         analog=result.analog.conj().T,
         digital=result.digital.conj().T,

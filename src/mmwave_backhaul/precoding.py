@@ -1,10 +1,16 @@
 """Exact SVD precoders, multi-user zero forcing, and power allocation.
 
-The unconstrained design keeps the top-R singular triplets of each
+The unconstrained design keeps the leading singular triplets of each
 user's channel, stacks the left factors across users, and inverts the
 resulting stream-coupling matrix with a digital stage so the end-to-end
 equivalent channel is diagonal.  Waterfilling (or equal split) then
 distributes the transmit budget over the parallel streams.
+
+A channel of L paths is ``A_tx diag(c) A_rx^H`` with thin steering
+matrices, so :func:`factored_svd` takes its singular triplets from thin
+QRs of the two factors and the SVD of the at most L x L core, and keeps
+only the numerically non-zero ones: no singular vector is an arbitrary
+completion of a null space.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ __all__ = [
     "MuExactSet",
     "PowerAllocation",
     "truncated_svd",
+    "factored_svd",
     "mu_assemble",
     "mu_digital_precoder",
     "equivalent_channel",
@@ -129,6 +136,30 @@ def truncated_svd(h: np.ndarray, rank: int) -> TruncatedSvd:
     return TruncatedSvd(left=u, sigmas=s[:rank], right=v, rank_used=rank)
 
 
+def factored_svd(left: np.ndarray, coeffs, right: np.ndarray, max_rank: int) -> TruncatedSvd:
+    """Singular triplets of ``left @ diag(coeffs) @ right^H`` from its small core.
+
+    ``left`` is (n_tx, m) and ``right`` is (n_rx, m) with m small, for
+    example the steering matrices of m paths and ``coeffs`` their scaled
+    gains.  With thin QRs ``left = Q_l R_l`` and ``right = Q_r R_r``, the
+    SVD ``W S Z^H`` of the (at most m x m) core ``R_l diag(coeffs) R_r^H`` gives
+    ``U = Q_l W`` and ``V = Q_r Z``.  The result keeps
+    ``min(max_rank, numerical rank)`` triplets, at least one, where the
+    numerical rank counts singular values above ``s[0] * m * eps`` (the
+    ``numpy.linalg.matrix_rank`` default), with the phase convention of
+    :func:`truncated_svd`.
+    """
+    q_l, r_l = np.linalg.qr(np.asarray(left, dtype=complex))
+    q_r, r_r = np.linalg.qr(np.asarray(right, dtype=complex))
+    w, s, zh = np.linalg.svd((r_l * coeffs) @ r_r.conj().T)
+    tolerance = s[0] * max(w.shape[0], zh.shape[0]) * np.finfo(float).eps
+    rank = max(1, min(max_rank, int(np.sum(s > tolerance))))
+    u = q_l @ w[:, :rank]
+    v = q_r @ zh[:rank].conj().T
+    _fix_phases(u, v)
+    return TruncatedSvd(left=u, sigmas=s[:rank], right=v, rank_used=rank)
+
+
 def _block_diag(blocks) -> np.ndarray:
     rows = sum(b.shape[0] for b in blocks)
     cols = sum(b.shape[1] for b in blocks)
@@ -165,22 +196,38 @@ def mu_assemble(svds) -> MuExactSet:
 def mu_digital_precoder(p_tilde_d: np.ndarray, p_a: np.ndarray, u_tilde: np.ndarray):
     """Digital zero-forcing stage inverting the stream-coupling matrix.
 
-    Returns ``(inv(T), cond(T))`` with ``T = p_tilde_d @ p_a @ u_tilde``.
+    Returns ``(inv(T), cond)`` with ``T = p_tilde_d @ p_a @ u_tilde``.
+    T is never formed: with the thin QR ``u_tilde = Q R`` and
+    ``F = p_tilde_d @ p_a``, ``T = (F Q) R``, so ``inv(T) = inv(R) @
+    inv(F Q)``.  When F is close to ``u_tilde^H`` (exact or well
+    factorized precoders), T is close to ``u_tilde^H u_tilde`` and its
+    condition number is about the square of each factor's, so two users
+    with nearly parallel streams make T singular to working precision
+    while R and F Q stay invertible.  ``cond`` is the larger of
+    ``cond(R)`` and ``cond(F Q)``.
 
     Raises
     ------
     SingularCouplingError
-        If the condition number of T exceeds 1e12.
+        If the condition number of R or of F Q exceeds 1e12.
     """
-    t = p_tilde_d @ (p_a @ u_tilde)
-    if t.shape[0] != t.shape[1]:
-        raise ValueError(f"coupling matrix must be square, got {t.shape}")
-    cond = float(np.linalg.cond(t))
+    n_streams = u_tilde.shape[1]
+    if p_tilde_d.shape[0] != n_streams:
+        raise ValueError(
+            f"coupling matrix must be square, got ({p_tilde_d.shape[0]}, {n_streams})"
+        )
+    if n_streams > u_tilde.shape[0]:
+        raise SingularCouplingError(
+            f"{n_streams} streams cannot be separated by {u_tilde.shape[0]} antennas"
+        )
+    q, r = np.linalg.qr(u_tilde)
+    fq = p_tilde_d @ (p_a @ q)
+    cond = max(float(np.linalg.cond(r)), float(np.linalg.cond(fq)))
     if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise SingularCouplingError(
             f"stream-coupling matrix is numerically singular (condition {cond:.3e})"
         )
-    return np.linalg.inv(t), cond
+    return np.linalg.solve(r, np.linalg.inv(fq)), cond
 
 
 def equivalent_channel(

@@ -1,15 +1,18 @@
 """Monte Carlo sum-capacity evaluation of the link schemes.
 
-Three schemes share one construction: per-user truncated SVDs feed a
-stacked multi-user zero-forcing design, the composite precoder is
+Three schemes share one construction.  Each user's channel is kept as
+its paths (steering matrices and gains), and its singular triplets come
+from the at most L x L path core; the user gets one stream per
+non-zero singular value, up to ``n_bb_sm`` for the ``hybrid_*``
+schemes and ``n_sm`` for ``full_digital``.  The per-user factors feed
+a stacked multi-user zero-forcing design, the composite precoder is
 column-normalized so per-stream transmit powers are explicit, and the
 budget is spread equally or by waterfilling (with a few
 interference-aware refinement passes, so the chosen allocation never
 falls below the equal split on the design-side capacity).  ``hybrid_*``
 schemes factorize the per-user precoders/combiners through the
-constant-modulus stage first; ``full_digital`` keeps the exact factors
-at full per-user rank.  Capacity always includes the residual
-inter-stream interference.
+constant-modulus stage first; ``full_digital`` keeps the exact factors.
+Capacity always includes the residual inter-stream interference.
 
 SNR is defined as total transmit budget over the (unit) noise variance;
 channels have unit mean path power, so the axes are self-consistent.
@@ -22,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayGeometry, PathDistribution, assemble_channel, sample_paths
+from .channel import (
+    ArrayGeometry,
+    PathDistribution,
+    PathSet,
+    assemble_channel,
+    sample_paths,
+    steering_matrix,
+)
 from .errors import ConfigValidationError
 from .estimation import ChannelOracle, EstimationConfig, estimate_channel
 from .factorization import FactorizeOptions, factorize, factorize_combiner
@@ -30,9 +40,8 @@ from .precoding import (
     PowerAllocation,
     _block_diag,
     allocate_power,
-    mu_assemble,
+    factored_svd,
     mu_digital_precoder,
-    truncated_svd,
 )
 
 __all__ = [
@@ -55,11 +64,12 @@ _DEFAULT_SNR_GRID = tuple(float(s) for s in range(-10, 35, 5))
 _GAIN_FLOOR = np.finfo(float).tiny
 
 # The link builder iterates the constant-modulus factorization much deeper
-# than the standalone defaults: rank-limited targets converge to machine
-# precision given enough alternations, and the resulting drop in
-# inter-stream leakage is what keeps waterfilling ahead of equal-power
-# allocation on every draw even at high SNR, where the two allocations'
-# own-link capacities nearly coincide.
+# than the standalone defaults.  Users whose every path is a stream start
+# from their steering matrices and stop after two exact steps, so only
+# users with more paths than streams iterate; the drop in inter-stream
+# leakage that deep iteration buys there is what keeps waterfilling ahead
+# of equal-power allocation on every draw even at high SNR, where the two
+# allocations' own-link capacities nearly coincide.
 _LINK_FACTORIZE_OPTS = FactorizeOptions(max_iterations=600, stall_tolerance=1e-12)
 
 
@@ -209,12 +219,15 @@ def user_capacity(
     powers: PowerAllocation,
     noise_cov: np.ndarray,
     interference: bool = True,
+    offsets=None,
 ) -> float:
     """Capacity in bpcu of one user's streams through an equivalent channel.
 
-    ``g`` is the (K*R, K*R) stream-to-output map whose (k, j) block of
-    size R sends user j's streams into user k's combined outputs.
-    ``noise_cov`` is this user's combined noise covariance; with
+    ``g`` is the square stream-to-output map whose (k, j) block sends
+    user j's streams into user k's combined outputs; user k's streams
+    are rows and columns ``offsets[k]:offsets[k+1]``.  Without
+    ``offsets`` every user has as many streams as ``noise_cov`` has
+    rows.  ``noise_cov`` is this user's combined noise covariance; with
     ``interference`` the other users' blocks enter as colored noise.
 
     Raises
@@ -226,20 +239,23 @@ def user_capacity(
     noise_cov = np.asarray(noise_cov, dtype=complex)
     p = np.asarray(powers.powers, dtype=float)
     r = noise_cov.shape[0]
-    n_users = g.shape[0] // r
-    if g.shape[0] != g.shape[1] or g.shape[0] != n_users * r or p.size != g.shape[0]:
-        raise ValueError("shapes of g, powers and noise_cov are inconsistent")
+    if offsets is None:
+        offsets = range(0, g.shape[0] + r, r)
+    n_users = len(offsets) - 1
     if not 0 <= user_index < n_users:
         raise ValueError("user_index out of range")
+    rows = slice(offsets[user_index], offsets[user_index + 1])
+    if (g.shape[0] != g.shape[1] or g.shape[0] != offsets[-1] or p.size != g.shape[0]
+            or rows.stop - rows.start != r):
+        raise ValueError("shapes of g, powers and noise_cov are inconsistent")
 
     noise_cov = 0.5 * (noise_cov + noise_cov.conj().T)
     try:
         chol = np.linalg.cholesky(noise_cov if not interference else noise_cov + _interference_cov(
-            g, user_index, p, r, n_users))
+            g, rows, p))
     except np.linalg.LinAlgError as exc:
         raise ValueError("combined noise covariance must be positive definite") from exc
 
-    rows = slice(user_index * r, (user_index + 1) * r)
     own = g[rows, rows]
     signal = (own * p[rows]) @ own.conj().T
     # Whiten: capacity = log2 det(I + L^-1 S L^-H) with S PSD.
@@ -250,55 +266,85 @@ def user_capacity(
     return float(np.sum(np.log2(np.maximum(eigs.real, 1.0))))
 
 
-def _interference_cov(g, user_index, p, r, n_users):
-    rows = slice(user_index * r, (user_index + 1) * r)
-    cov = np.zeros((r, r), dtype=complex)
-    for j in range(n_users):
-        if j == user_index:
-            continue
-        cols = slice(j * r, (j + 1) * r)
-        block = g[rows, cols]
-        cov += (block * p[cols]) @ block.conj().T
-    return cov
+def _interference_cov(g, rows, p):
+    # Every other user's streams, at their powers, into these outputs.
+    others = p.copy()
+    others[rows] = 0.0
+    block = g[rows]
+    return (block * others) @ block.conj().T
+
+
+@dataclass
+class _UserChannel:
+    """One user's channel ``a_tx @ diag(coeffs) @ a_rx^H`` in thin factors.
+
+    Built from paths, the columns of ``a_tx`` and ``a_rx`` are the paths'
+    array responses.  The matrix form (``a_tx = h``, ``a_rx = I``) serves
+    the exact full-digital baseline, which is never factorized.
+    """
+
+    a_tx: np.ndarray     # (n_tx, m)
+    coeffs: np.ndarray   # (m,)
+    a_rx: np.ndarray     # (n_rx, m)
+
+    @classmethod
+    def from_paths(cls, tx: ArrayGeometry, rx: ArrayGeometry, paths: PathSet) -> "_UserChannel":
+        scale = np.sqrt(tx.n_elements * rx.n_elements / paths.path_loss)
+        return cls(steering_matrix(tx, paths.aods), scale * paths.gains,
+                   steering_matrix(rx, paths.aoas))
+
+    @classmethod
+    def from_matrix(cls, h: np.ndarray) -> "_UserChannel":
+        return cls(h, np.ones(h.shape[1]), np.eye(h.shape[1], dtype=complex))
+
+    def adjoint_times(self, x: np.ndarray) -> np.ndarray:
+        """``h^H @ x`` without assembling h."""
+        return self.a_rx @ (self.coeffs.conj()[:, None] * (self.a_tx.conj().T @ x))
 
 
 @dataclass
 class _Link:
     """One scheme's design for one channel draw, evaluated on the truth."""
 
-    g_true: np.ndarray        # receive-orientation equivalent channel (K*R, K*R)
+    g_true: np.ndarray        # receive-orientation equivalent channel (S, S), S streams
     g_design: np.ndarray      # same map built from the design CSI
     design_gains: np.ndarray  # per-stream |gain|^2 / noise, from the design CSI
     noise_covs: list          # per-user combined noise covariance
     noise_chols: list         # their Cholesky factors
+    offsets: np.ndarray       # user k's streams are offsets[k]:offsets[k+1]
     coupling_cond: float
 
     @property
     def n_users(self) -> int:
         return len(self.noise_covs)
 
-    @property
-    def rank(self) -> int:
-        return self.noise_covs[0].shape[0]
 
-
-def _build_link(design_channels, true_channels, rank, noise_var, factorized,
+def _build_link(design, truth, max_streams, noise_var, factorized,
                 opts: FactorizeOptions | None = None) -> _Link:
-    svds = [truncated_svd(h, rank) for h in design_channels]
-    mu = mu_assemble(svds)
-    n_users = len(svds)
+    # Each user gets one stream per non-zero singular value of its design
+    # channel, up to max_streams.  When every path is a stream, the kept
+    # subspaces are spanned by the paths' array responses, which already
+    # have the analog stage's constant modulus, so the factorization
+    # starts from them and is exact at once.
+    svds = [factored_svd(c.a_tx, c.coeffs, c.a_rx, max_streams) for c in design]
+    offsets = np.cumsum([0] + [s.rank_used for s in svds])
+    u_tilde = np.hstack([s.left for s in svds])
     if factorized:
         opts = opts or _LINK_FACTORIZE_OPTS
-        precs = [factorize(s.left.conj().T, opts) for s in svds]
-        combs = [factorize_combiner(s.right, opts) for s in svds]
+        precs, combiners = [], []
+        for c, s in zip(design, svds):
+            closed_form = s.rank_used == c.coeffs.size
+            precs.append(factorize(s.left.conj().T, opts,
+                                   start=c.a_tx.conj().T if closed_form else None))
+            comb = factorize_combiner(s.right, opts, start=c.a_rx if closed_form else None)
+            combiners.append(comb.analog @ comb.digital)
         p_tilde_d = _block_diag([p.digital for p in precs])
         p_a = np.vstack([p.analog for p in precs])
-        combiners = [c.analog @ c.digital for c in combs]
     else:
-        p_tilde_d = np.eye(n_users * rank, dtype=complex)
-        p_a = mu.u_tilde.conj().T
+        p_tilde_d = np.eye(offsets[-1], dtype=complex)
+        p_a = u_tilde.conj().T
         combiners = [s.right for s in svds]
-    p_d, cond = mu_digital_precoder(p_tilde_d, p_a, mu.u_tilde)
+    p_d, cond = mu_digital_precoder(p_tilde_d, p_a, u_tilde)
     composite = (p_d @ p_tilde_d @ p_a).conj().T
 
     noise_covs = [noise_var * (c.conj().T @ c) for c in combiners]
@@ -310,10 +356,10 @@ def _build_link(design_channels, true_channels, rank, noise_var, factorized,
     # the parallel-channel model the allocator uses exact: per-stream
     # design gains are then true capacities-per-unit-power, so
     # waterfilling is optimal for the design objective.
-    design_gains = np.empty(n_users * rank)
-    for k, (h_k, comb, chol) in enumerate(zip(design_channels, combiners, noise_chols)):
-        block = slice(k * rank, (k + 1) * rank)
-        own = comb.conj().T @ (h_k.conj().T @ composite[:, block])
+    design_gains = np.empty(offsets[-1])
+    for k, (user, comb, chol) in enumerate(zip(design, combiners, noise_chols)):
+        block = slice(offsets[k], offsets[k + 1])
+        own = comb.conj().T @ user.adjoint_times(composite[:, block])
         whitened = np.linalg.solve(chol, own)
         _, sing, rot_h = np.linalg.svd(whitened)
         composite[:, block] = composite[:, block] @ rot_h.conj().T
@@ -327,20 +373,21 @@ def _build_link(design_channels, true_channels, rank, noise_var, factorized,
     precoder = composite / col_norms
     design_gains = np.maximum(design_gains / col_norms**2, _GAIN_FLOOR)
 
-    c_bar = _block_diag(combiners)
-    g_true = c_bar.conj().T @ (np.hstack(true_channels).conj().T @ precoder)
-    if design_channels is true_channels:
-        g_design = g_true
-    else:
-        g_design = c_bar.conj().T @ (np.hstack(design_channels).conj().T @ precoder)
+    def equivalent(users):
+        return np.vstack([c.conj().T @ u.adjoint_times(precoder)
+                          for c, u in zip(combiners, users)])
+
+    g_true = equivalent(truth)
+    g_design = g_true if design is truth else equivalent(design)
     return _Link(g_true=g_true, g_design=g_design, design_gains=design_gains,
-                 noise_covs=noise_covs, noise_chols=noise_chols, coupling_cond=cond)
+                 noise_covs=noise_covs, noise_chols=noise_chols, offsets=offsets,
+                 coupling_cond=cond)
 
 
 def _design_capacity(link: _Link, powers: np.ndarray) -> float:
     alloc = PowerAllocation(powers, "waterfilling")
     return sum(
-        user_capacity(link.g_design, k, alloc, link.noise_covs[k], interference=True)
+        user_capacity(link.g_design, k, alloc, link.noise_covs[k], True, link.offsets)
         for k in range(link.n_users)
     )
 
@@ -358,15 +405,14 @@ def _refined_waterfilling(link: _Link, budget: float) -> PowerAllocation:
     values = [_design_capacity(link, p) for p in candidates]
     best = int(np.argmax(values))
     best_powers, best_value = candidates[best], values[best]
-    rank, n_users = link.rank, link.n_users
     current = best_powers
     for _ in range(3):
         # Effective per-stream gains with the current interference treated
         # as extra (whitened) noise.
-        inflation = np.empty(rank * n_users)
-        for k in range(n_users):
-            rows = slice(k * rank, (k + 1) * rank)
-            cov = _interference_cov(link.g_design, k, current, rank, n_users)
+        inflation = np.empty(link.design_gains.size)
+        for k in range(link.n_users):
+            rows = slice(link.offsets[k], link.offsets[k + 1])
+            cov = _interference_cov(link.g_design, rows, current)
             chol = link.noise_chols[k]
             whitened = np.linalg.solve(chol, np.linalg.solve(chol, cov).conj().T).conj().T
             inflation[rows] = 1.0 + np.maximum(np.real(np.diag(whitened)), 0.0)
@@ -386,7 +432,7 @@ def _link_capacity(link: _Link, budget: float, allocation: str) -> tuple[float, 
     else:
         powers = allocate_power(link.design_gains, budget, allocation)
     total = sum(
-        user_capacity(link.g_true, k, powers, link.noise_covs[k], interference=True)
+        user_capacity(link.g_true, k, powers, link.noise_covs[k], True, link.offsets)
         for k in range(link.n_users)
     )
     return total, powers
@@ -394,10 +440,11 @@ def _link_capacity(link: _Link, budget: float, allocation: str) -> tuple[float, 
 
 def full_digital_baseline(channels, snr_db: float, allocation: str = "waterfilling",
                           noise_var: float = 1.0) -> float:
-    """Sum capacity of the exact zero-forcing design at full per-user rank.
+    """Sum capacity of the exact zero-forcing design.
 
-    Every user keeps as many streams as receive antennas; the precoders
-    and combiners are the exact SVD factors (no constant-modulus stage).
+    Every user keeps one stream per non-zero singular value of its
+    channel (at most its receive antenna count); the precoders and
+    combiners are the exact SVD factors (no constant-modulus stage).
 
     Raises
     ------
@@ -408,7 +455,8 @@ def full_digital_baseline(channels, snr_db: float, allocation: str = "waterfilli
     n_rx = channels[0].shape[1]
     if len(channels) * n_rx > channels[0].shape[0]:
         raise ValueError("full-digital design needs k_users*n_rx <= n_tx")
-    link = _build_link(channels, channels, n_rx, noise_var, factorized=False)
+    users = [_UserChannel.from_matrix(h) for h in channels]
+    link = _build_link(users, users, n_rx, noise_var, factorized=False)
     budget = noise_var * 10.0 ** (snr_db / 10.0)
     capacity, _ = _link_capacity(link, budget, allocation)
     return capacity
@@ -432,31 +480,29 @@ def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
     rows = []
     for trial in range(cfg.trials):
         channel_rng = derive_rng(cfg.master_seed, trial, 0)
-        channels = [
-            assemble_channel(tx_geom, rx_geom, sample_paths(dist, channel_rng))
-            for _ in range(cfg.k_users)
-        ]
+        paths = [sample_paths(dist, channel_rng) for _ in range(cfg.k_users)]
+        truth = [_UserChannel.from_paths(tx_geom, rx_geom, p) for p in paths]
 
         links = {}
         if "hybrid_ideal" in cfg.schemes:
             links["hybrid_ideal"] = _build_link(
-                channels, channels, cfg.n_bb_sm, cfg.noise_var, factorized=True
+                truth, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
             )
         if "hybrid_estimated" in cfg.schemes:
             est_rng = derive_rng(cfg.master_seed, trial, 1)
             noise = observation_noise_var(cfg)
             est_cfg = dataclasses.replace(cfg.estimation, path_loss=cfg.path_loss)
             estimates = []
-            for h in channels:
-                oracle = ChannelOracle(h, noise, est_rng)
+            for p in paths:
+                oracle = ChannelOracle(assemble_channel(tx_geom, rx_geom, p), noise, est_rng)
                 report = estimate_channel(oracle, tx_geom, rx_geom, est_cfg)
-                estimates.append(report.reconstruction)
+                estimates.append(_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths))
             links["hybrid_estimated"] = _build_link(
-                estimates, channels, cfg.n_bb_sm, cfg.noise_var, factorized=True
+                estimates, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
             )
         if "full_digital" in cfg.schemes:
             links["full_digital"] = _build_link(
-                channels, channels, cfg.n_sm, cfg.noise_var, factorized=False
+                truth, truth, cfg.n_sm, cfg.noise_var, factorized=False
             )
 
         for scheme, link in links.items():

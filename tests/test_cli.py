@@ -295,6 +295,23 @@ class TestCliEndToEnd:
             outputs.append((out / "rank_profile.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_capacity_sweep_independent_of_blas_threads(self, tmp_path):
+        # Exact-CSI schemes at the fig5 array sizes; users with fewer paths
+        # than streams used to pad their designs with singular vectors that
+        # moved with the BLAS threading.
+        cfg = tmp_path / "exact.yaml"
+        cfg.write_text("n_ma: 512\nn_sm: 32\nk_users: 4\nn_bb_ma: 16\nn_bb_sm: 4\n"
+                       "trials: 3\nsnr_grid_db: [0, 20]\nmaster_seed: 42\n"
+                       "schemes: [hybrid_ideal, full_digital]\n")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = run_cli("capacity-sweep", "--config", str(cfg), "--out", str(out),
+                           env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "capacity.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_estimate_demo(self, tmp_path):
         cfg = self.write_config(
             tmp_path,
@@ -363,6 +380,21 @@ class TestCliEndToEnd:
         assert cli.main(["capacity-sweep", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 3
         assert "SingularCouplingError" in capsys.readouterr().err
+
+    def test_debug_prints_traceback(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularCouplingError("coupling matrix is singular")
+
+        monkeypatch.setattr(cli, "run_scenario", singular)
+        argv = ["capacity-sweep", "--config", str(self.write_config(tmp_path)),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert cli.main(argv + ["--debug"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "in singular" in err
+        assert err.rstrip().endswith("error: SingularCouplingError: coupling matrix is singular")
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -60,6 +60,15 @@ class TestDftCodebook:
         sines = np.sin(cb.angles)
         np.testing.assert_allclose(np.sort(sines), -1 + (2 * np.arange(64) + 1) / 64, atol=1e-12)
 
+    def test_cached_arrays_are_shared_read_only(self):
+        first, second = dft_codebook(ArrayGeometry(16), 16), dft_codebook(ArrayGeometry(16), 16)
+        assert first is not second
+        assert first.beams is second.beams and first.angles is second.angles
+        for array in (first.beams, first.angles):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert dft_codebook(ArrayGeometry(16, 0.4), 16).beams is not first.beams
+
 
 class TestCoarseSweep:
     def test_on_grid_path_wins(self):

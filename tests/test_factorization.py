@@ -10,8 +10,10 @@ from mmwave_backhaul import (
     assemble_channel,
     factorize,
     factorize_combiner,
+    factored_svd,
     phase_project,
     sample_paths,
+    steering_matrix,
     truncated_svd,
 )
 from mmwave_backhaul.simulation import _LINK_FACTORIZE_OPTS
@@ -31,6 +33,14 @@ def precoder_target(n_tx, n_rx, n_paths, rank, seed):
 def combiner_target(n_tx, n_rx, n_paths, rank, seed):
     """The (rank, n_rx) target that factorize_combiner hands to factorize."""
     return channel_svd(n_tx, n_rx, n_paths, rank, seed).right.conj().T
+
+
+def path_svd(n_tx, n_rx, n_paths, rank, seed):
+    """Steering matrices of one draw and its path-core SVD, as the link builds them."""
+    tx, rx = ArrayGeometry(n_tx), ArrayGeometry(n_rx)
+    paths = sample_paths(PathDistribution(n_paths, n_paths), np.random.default_rng(seed))
+    a_tx, a_rx = steering_matrix(tx, paths.aods), steering_matrix(rx, paths.aoas)
+    return a_tx, a_rx, factored_svd(a_tx, np.sqrt(n_tx * n_rx) * paths.gains, a_rx, rank)
 
 
 def first_iterate_residual(target, modulus):
@@ -179,6 +189,44 @@ class TestFactorize:
         assert pinv_calls
         assert np.all(np.isfinite(result.digital)) and np.all(np.isfinite(result.analog))
         assert result.residual <= first + 1e-12
+
+    @pytest.mark.parametrize("n_paths", [2, 3, 4])
+    def test_steering_start_is_exact_when_every_path_is_a_stream(self, n_paths):
+        for seed in range(5):
+            a_tx, a_rx, svd = path_svd(512, 32, n_paths, 4, seed=[61, n_paths, seed])
+            assert svd.rank_used == n_paths
+            prec = factorize(svd.left.conj().T, _LINK_FACTORIZE_OPTS, start=a_tx.conj().T)
+            comb = factorize_combiner(svd.right, _LINK_FACTORIZE_OPTS, start=a_rx)
+            for result in (prec, comb):
+                assert result.residual <= 1e-12
+                assert result.iterations_used <= 3
+            recon = comb.analog @ comb.digital
+            assert np.linalg.norm(recon - svd.right) <= 1e-12 * np.linalg.norm(svd.right)
+
+    @pytest.mark.parametrize("n_paths", [5, 6])
+    def test_more_paths_than_streams_iterates_as_before(self, n_paths):
+        # The link used to take its targets from a dense SVD of the
+        # assembled channel; the path-core targets follow the same
+        # iteration from the target itself.
+        for seed in range(4):
+            _, _, svd = path_svd(512, 32, n_paths, 4, seed=seed)
+            dense = channel_svd(512, 32, n_paths, 4, seed=seed)
+            assert svd.rank_used == 4
+            pairs = [(factorize(svd.left.conj().T, _LINK_FACTORIZE_OPTS),
+                      factorize(dense.left.conj().T, _LINK_FACTORIZE_OPTS)),
+                     (factorize_combiner(svd.right, _LINK_FACTORIZE_OPTS),
+                      factorize_combiner(dense.right, _LINK_FACTORIZE_OPTS))]
+            for new, old in pairs:
+                assert new.iterations_used == old.iterations_used
+                assert abs(new.residual - old.residual) <= 1e-9 * old.residual
+
+    def test_start_none_is_the_target(self):
+        target = precoder_target(64, 16, 3, 3, seed=7)
+        a = factorize(target)
+        b = factorize(target, start=target)
+        assert np.array_equal(a.analog, b.analog) and np.array_equal(a.digital, b.digital)
+        with pytest.raises(ValueError):
+            factorize(target, start=target[:2])
 
     def test_invalid_targets(self):
         with pytest.raises(ValueError):

@@ -4,15 +4,18 @@ import pytest
 from mmwave_backhaul import (
     ArrayGeometry,
     PathDistribution,
+    PathSet,
     SingularCouplingError,
     allocate_power,
     assemble_channel,
     equivalent_channel,
+    factored_svd,
     factorize,
     factorize_combiner,
     mu_assemble,
     mu_digital_precoder,
     sample_paths,
+    steering_matrix,
     truncated_svd,
 )
 from mmwave_backhaul.precoding import _block_diag
@@ -79,6 +82,62 @@ class TestTruncatedSvd:
                 truncated_svd(h, bad)
 
 
+def path_core_svd(tx, rx, paths, max_rank):
+    scale = np.sqrt(tx.n_elements * rx.n_elements / paths.path_loss)
+    return factored_svd(steering_matrix(tx, paths.aods), scale * paths.gains,
+                        steering_matrix(rx, paths.aoas), max_rank)
+
+
+def assert_same_subspace(a, b):
+    np.testing.assert_allclose(a @ a.conj().T, b @ b.conj().T, rtol=0, atol=1e-10)
+
+
+class TestFactoredSvd:
+    @pytest.mark.parametrize("n_paths", range(1, 7))
+    def test_matches_dense_svd(self, n_paths):
+        tx, rx = ArrayGeometry(512), ArrayGeometry(32)
+        for seed in range(5):
+            paths = sample_paths(PathDistribution(n_paths, n_paths, path_loss=3.0),
+                                 np.random.default_rng([71, n_paths, seed]))
+            h = assemble_channel(tx, rx, paths)
+            dense = truncated_svd(h, 32)
+            for max_rank in (4, 32):
+                dec = path_core_svd(tx, rx, paths, max_rank)
+                rank = min(n_paths, max_rank)
+                assert dec.rank_used == rank
+                np.testing.assert_allclose(dec.sigmas, dense.sigmas[:rank], rtol=0,
+                                           atol=1e-12 * dense.sigmas[0])
+                assert_same_subspace(dec.left, dense.left[:, :rank])
+                assert_same_subspace(dec.right, dense.right[:, :rank])
+                recon = dec.left @ np.diag(dec.sigmas) @ dec.right.conj().T
+                tail = np.sum(dense.sigmas[rank:] ** 2)
+                assert abs(np.linalg.norm(h - recon) ** 2 - tail) <= 1e-12 * np.sum(dense.sigmas ** 2)
+
+    @pytest.mark.parametrize("shared", ["aods", "aoas"])
+    def test_shared_end_drops_a_stream(self, shared):
+        # Two estimated pairs that share one end span a rank-one channel.
+        angles = {"aods": [0.4, 1.3], "aoas": [2.2, 5.0]}
+        angles[shared] = [angles[shared][0]] * 2
+        paths = PathSet(gains=[0.8 + 0.1j, -0.3 + 0.5j], **angles)
+        dec = path_core_svd(ArrayGeometry(512), ArrayGeometry(32), paths, 4)
+        assert dec.rank_used == 1
+        h = assemble_channel(ArrayGeometry(512), ArrayGeometry(32), paths)
+        np.testing.assert_allclose(dec.sigmas, np.linalg.svd(h, compute_uv=False)[:1], rtol=1e-12)
+
+    def test_matrix_factors(self):
+        h = random_channel(64, 8, 3, seed=72)
+        dec = factored_svd(h, np.ones(8), np.eye(8, dtype=complex), 8)
+        dense = truncated_svd(h, 3)
+        assert dec.rank_used == 3
+        np.testing.assert_allclose(dec.sigmas, dense.sigmas, rtol=1e-12)
+        assert_same_subspace(dec.left, dense.left)
+
+    def test_zero_channel_keeps_one_stream(self):
+        dec = factored_svd(np.eye(8, 2, dtype=complex), np.zeros(2), np.eye(4, 2, dtype=complex), 4)
+        assert dec.rank_used == 1
+        assert dec.sigmas[0] == 0.0
+
+
 class TestMuAssemble:
     def test_single_user_passthrough(self):
         dec = truncated_svd(random_channel(16, 4, 2, seed=5), 2)
@@ -127,6 +186,21 @@ class TestMuDigitalPrecoder:
         t = np.diag([1.0, 1e-15]).astype(complex)
         with pytest.raises(SingularCouplingError):
             mu_digital_precoder(t, np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+
+    def test_near_parallel_users_stay_invertible(self):
+        # Two users whose departure directions differ by 2e-9 in sin: the
+        # coupling matrix u^H u has a condition number above the 1e12
+        # limit, but each factor of its QR-split inverse has about the
+        # square root of it.
+        tx = ArrayGeometry(512)
+        u_tilde = steering_matrix(tx, np.arcsin([0.3, 0.3 + 2e-9]))
+        assert np.linalg.cond(u_tilde.conj().T @ u_tilde) > 1e12
+        p_d, cond = mu_digital_precoder(np.eye(2, dtype=complex), u_tilde.conj().T, u_tilde)
+        assert 1e5 < cond < 1e8
+        # For exact factors inv(u^H u) = inv(R) inv(R)^H, an independent route.
+        r_inv = np.linalg.inv(np.linalg.qr(u_tilde, mode="r"))
+        reference = r_inv @ r_inv.conj().T
+        assert np.linalg.norm(p_d - reference) <= 1e-8 * np.linalg.norm(reference)
 
     def test_hybrid_inputs_invert_exactly(self):
         # Factorized inputs at reference scale: the returned inverse must
