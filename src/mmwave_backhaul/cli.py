@@ -27,10 +27,12 @@ from .errors import ConfigError
 from .estimation import ChannelOracle, estimate_channel
 from .factorization import factorize
 from .output import RankProfileTable, emit_csv, write_manifest
-from .precoding import truncated_svd
+from .precoding import factored_svd
 from .simulation import (
+    _LINK_FACTORIZE_OPTS,
     CapacityResult,
     ScenarioConfig,
+    _UserChannel,
     derive_rng,
     observation_noise_var,
     run_scenario,
@@ -148,6 +150,9 @@ def cmd_estimate_demo(args) -> int:
 
 
 def cmd_factorize(args) -> int:
+    # The precoder targets a link factorizes: each user's min(n_bb_sm,
+    # rank) singular vectors from its paths, at the link's options, from
+    # the steering matrix when every path is a stream.
     scenarios = _load_scenarios(args)
     cfg = scenarios[0]
     out_dir = _prepare_out(args)
@@ -155,17 +160,24 @@ def cmd_factorize(args) -> int:
     dist = cfg.path_distribution()
     residuals = []
     iterations = []
+    streams = closed_form = 0
     for trial in range(cfg.trials):
         rng = derive_rng(cfg.master_seed, trial, 0)
         for _ in range(cfg.k_users):
-            h = assemble_channel(tx_geom, rx_geom, sample_paths(dist, rng))
-            decomposition = truncated_svd(h, cfg.n_bb_sm)
-            result = factorize(decomposition.left.conj().T)
+            user = _UserChannel.from_paths(tx_geom, rx_geom, sample_paths(dist, rng))
+            decomposition = factored_svd(user.a_tx, user.coeffs, user.a_rx, cfg.n_bb_sm)
+            exact = decomposition.rank_used == user.coeffs.size
+            result = factorize(decomposition.left.conj().T, _LINK_FACTORIZE_OPTS,
+                               start=user.a_tx.conj().T if exact else None)
+            closed_form += exact
             residuals.append(result.residual)
             iterations.append(result.iterations_used)
+            streams += decomposition.rank_used
     residuals = np.asarray(residuals)
     print(f"targets factorized: {residuals.size} "
-          f"({cfg.n_bb_sm} streams x {cfg.n_ma} elements)")
+          f"({streams} streams of {cfg.n_ma} elements, at most {cfg.n_bb_sm} per target)")
+    print(f"closed form:        {closed_form} (every path a stream), "
+          f"iterated: {residuals.size - closed_form}")
     print(f"relative residual:  min {residuals.min():.4f}  "
           f"mean {residuals.mean():.4f}  max {residuals.max():.4f}")
     print(f"iterations:         min {min(iterations)}  max {max(iterations)}")

@@ -293,16 +293,110 @@ def array_snapshot(
     return ChannelOracle(h, noise_var, rng).snapshot(tx_beam, n_chains)
 
 
+# Krylov depth of the truncated Hankel SVD per unit of model order.
+_KRYLOV_PER_ORDER = 4
+# Relative size below which a Lanczos vector counts as zero: the Krylov
+# space is then invariant and its singular values are exact.
+_BREAKDOWN_TOL = 1e-14
+
+
+def _leading_left_singular(hankel: np.ndarray, max_order: int, rank_threshold: float):
+    """Leading singular values and left singular vectors of ``hankel``.
+
+    A Golub-Kahan-Lanczos run of depth ``_KRYLOV_PER_ORDER * max_order``
+    gives the leading triplets.  Its Ritz values can only underestimate
+    the singular values, so the pencil's order (the count at or above
+    ``rank_threshold`` times the largest, capped at ``max_order``) is
+    taken from them only when the first Ritz value below that cut lies
+    below it by more than its residual bound; otherwise, and when the
+    depth covers the whole matrix, the dense SVD is taken.  Returns
+    ``(sigmas, left)``, descending; a zero matrix gives ``sigmas[0] == 0``.
+    """
+    depth = _KRYLOV_PER_ORDER * max_order
+    if depth < min(hankel.shape):
+        s, u, bounds = _golub_kahan_lanczos(hankel, depth)
+        cut = rank_threshold * s[0]
+        count = int(np.sum(s >= cut))
+        if count >= min(max_order, s.size) or s[count] + bounds[count] < cut:
+            return s, u
+    u, s, _ = np.linalg.svd(hankel, full_matrices=False)
+    return s, u
+
+
+def _golub_kahan_lanczos(hankel: np.ndarray, depth: int):
+    """Ritz triplets of ``hankel`` from ``depth`` bidiagonalization steps.
+
+    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
+    runs from the fixed start vector ``conj(hankel[0])``
+    (``conj(hankel[-1])`` if the first row is zero), so nothing is drawn
+    from a random stream.  With ``U_k`` the left Lanczos vectors,
+    ``U_k^H hankel`` is the k x (k+1) upper bidiagonal of the alphas and
+    betas times the right Lanczos vectors, and its small SVD ``P S Q^H``
+    gives the Ritz triplets ``(S, U_k P)``.  Each one's residual norm is
+    the next alpha times the last entry of its right vector.  The
+    iteration stops early when a new vector vanishes (an exactly
+    low-rank matrix), where the Ritz values are exact.  Returns
+    ``(sigmas, left, residual_bounds)``, descending; a zero matrix gives
+    ``sigmas[0] == 0``.
+    """
+    rows, cols = hankel.shape
+    zero = np.zeros(1), np.zeros((rows, 1), dtype=complex), np.zeros(1)
+    start = hankel[0] if np.any(hankel[0]) else hankel[-1]
+    start_norm = np.linalg.norm(start)
+    if start_norm == 0:
+        return zero
+    adjoint = hankel.conj().T.copy()
+    # Lanczos vectors are stored as rows, so every product is contiguous.
+    left = np.empty((depth, rows), dtype=complex)
+    right = np.empty((depth + 1, cols), dtype=complex)
+    right[0] = start.conj() / start_norm
+    alphas, betas = [], []
+    scale = tail = 0.0
+    for j in range(depth + 1):
+        w = hankel @ right[j]
+        if j:
+            w -= betas[-1] * left[j - 1]
+            w -= (left[:j] @ w.conj()).conj() @ left[:j]
+        alpha = np.linalg.norm(w)
+        scale = max(scale, alpha)
+        if j == depth or alpha <= _BREAKDOWN_TOL * scale:
+            tail = alpha
+            break
+        left[j] = w / alpha
+        alphas.append(alpha)
+        z = adjoint @ left[j] - alpha * right[j]
+        z -= (right[:j + 1] @ z.conj()).conj() @ right[:j + 1]
+        beta = np.linalg.norm(z)
+        betas.append(beta)
+        if beta <= _BREAKDOWN_TOL * scale:
+            break
+        right[j + 1] = z / beta
+    k = len(alphas)
+    if k == 0:
+        return zero
+    bidiagonal = np.zeros((k, k + 1))
+    bidiagonal[np.arange(k), np.arange(k)] = alphas
+    bidiagonal[np.arange(k), np.arange(1, k + 1)] = betas
+    p, s, qh = np.linalg.svd(bidiagonal, full_matrices=False)
+    return s, left[:k].T @ p, tail * np.abs(qh[:, k])
+
+
 def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> LineSpectrum:
     """Fit a sum of complex exponentials to one snapshot (matrix pencil).
 
     A Hankel matrix with pencil parameter ``len(snapshot) // 2`` is
     built from the snapshot; the model order is the number of its
     singular values at or above ``rank_threshold`` times the largest,
-    capped at ``max_order``.  Frequencies come from the shift-invariance
-    eigenvalue problem on the leading left singular vectors, and
-    amplitudes from least squares against the snapshot.  For a noiseless
-    sum of at most ``len(snapshot)//2 - 1`` distinct exponentials the
+    capped at ``max_order``.  Only the leading singular triplets are
+    computed, by a Golub-Kahan-Lanczos bidiagonalization of depth
+    ``_KRYLOV_PER_ORDER * max_order`` (Golub & Kahan 1965); the dense
+    SVD is taken instead when that depth covers the whole Hankel, as
+    for a 32-element snapshot, or when a Ritz value lies too close to
+    the order's cut to decide it.  Frequencies come from the
+    shift-invariance eigenvalue problem on the leading left singular
+    vectors (Hua & Sarkar 1990), and amplitudes from least squares
+    against the snapshot.  For a noiseless sum of at most
+    ``min(max_order, len(snapshot)//2 - 1)`` distinct exponentials the
     recovery is exact up to rounding.
 
     Raises
@@ -321,7 +415,7 @@ def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> L
 
     rows = n - pencil
     hankel = x[np.arange(rows)[:, None] + np.arange(pencil + 1)[None, :]]
-    u, s, _ = np.linalg.svd(hankel, full_matrices=False)
+    s, u = _leading_left_singular(hankel, max_order, rank_threshold)
     if s[0] == 0:
         return LineSpectrum(np.empty(0), np.empty(0, dtype=complex), residual=0.0)
     order = int(np.sum(s >= rank_threshold * s[0]))
@@ -352,7 +446,9 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
 
     Each measurement is a ``(tx, rx, values)`` triple with tx of shape
     (n_tx, a), rx of shape (n_rx, b) and values of shape (b, a) equal to
-    ``rx^H h^H tx`` plus noise.  The fit finds the coupling matrix D
+    ``rx^H h^H tx`` plus noise.  A ``tx`` or ``rx`` of ``None`` stands
+    for the identity, every element of that array sampled, without
+    building it.  The fit finds the coupling matrix D
     (len(aods), len(aoas)) minimizing the residual of the model channel
     ``sqrt(n_tx*n_rx/path_loss) * A_tx(aods) @ D @ A_rx(aoas)^H`` against
     all scalar observations.  Returns ``(D, relative_residual)``.
@@ -382,17 +478,11 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
     rhs_blocks = []
     n_obs = 0
     for tx, rx, values in measurements:
-        tx = np.asarray(tx, dtype=complex)
-        rx = np.asarray(rx, dtype=complex)
-        if tx.ndim == 1:
-            tx = tx[:, None]
-        if rx.ndim == 1:
-            rx = rx[:, None]
-        values = np.asarray(values, dtype=complex).reshape(rx.shape[1], tx.shape[1])
-        v = a_tx.conj().T @ tx          # (n_aod, a)
-        u = a_rx.conj().T @ rx          # (n_aoa, b)
+        v = _project(a_tx, tx)          # (n_aod, a)
+        u = _project(a_rx, rx)          # (n_aoa, b)
+        values = np.asarray(values, dtype=complex).reshape(u.shape[1], v.shape[1])
         block = scale * np.einsum("ip,jq->pqij", u.conj(), v).reshape(
-            rx.shape[1] * tx.shape[1], n_aoa * n_aod
+            values.size, n_aoa * n_aod
         )
         design_blocks.append(block)
         rhs_blocks.append(values.ravel())
@@ -408,6 +498,14 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
     residual = float(np.linalg.norm(design @ solution - rhs) / rhs_norm) if rhs_norm > 0 else 0.0
     coupling = solution.reshape(n_aoa, n_aod).conj().T
     return coupling, residual
+
+
+def _project(steering: np.ndarray, probe) -> np.ndarray:
+    # steering^H @ probe, with probe None standing for the identity.
+    if probe is None:
+        return steering.conj().T
+    probe = np.asarray(probe, dtype=complex)
+    return steering.conj().T @ (probe[:, None] if probe.ndim == 1 else probe)
 
 
 def _merge_frequencies(detections, tol: float, cap: int, floor: float) -> np.ndarray:
@@ -496,7 +594,7 @@ def estimate_channel(
         slots_phase2 += slots
         spectrum = line_spectrum_estimate(snapshot, rx_order, cfg.rank_threshold)
         rx_detections.extend(zip(spectrum.frequencies, np.abs(spectrum.coefficients)))
-        phase2_measurements.append((beam, np.eye(n_rx, dtype=complex), snapshot.reshape(n_rx, 1)))
+        phase2_measurements.append((beam, None, snapshot.reshape(n_rx, 1)))
     rx_freqs = _merge_frequencies(rx_detections, rx_tol, cfg.max_paths, cfg.rank_threshold)
     if rx_freqs.size == 0:
         raise EstimationFailedError("no arrival directions detected")
@@ -513,7 +611,7 @@ def estimate_channel(
         slots_phase3 += slots
         spectrum = line_spectrum_estimate(raw.conj(), tx_order, cfg.rank_threshold)
         tx_detections.extend(zip(spectrum.frequencies, np.abs(spectrum.coefficients)))
-        phase3_measurements.append((np.eye(n_tx, dtype=complex), back_beam, raw.reshape(1, n_tx)))
+        phase3_measurements.append((None, back_beam, raw.reshape(1, n_tx)))
     tx_freqs = _merge_frequencies(tx_detections, tx_tol, cfg.max_paths, cfg.rank_threshold)
     if tx_freqs.size == 0:
         raise EstimationFailedError("no departure directions detected")

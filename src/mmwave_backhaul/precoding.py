@@ -276,19 +276,23 @@ def allocate_power(gains, budget: float, strategy: str = "waterfilling") -> Powe
         raise ValueError(f"unknown allocation strategy: {strategy!r}")
 
     # Sorted active-set solution: add channels best-first until the next
-    # water level would no longer cover the worst active channel.
+    # water level would no longer cover the worst active channel.  Levels
+    # are measured from the best channel's floor 1/g_max: an active
+    # channel's floor lies within the budget of it, so the subtraction is
+    # exact or small, and the powers sum to the budget to rounding even
+    # when the budget is far below the floors.
     inv_g = 1.0 / gains
     order = np.argsort(inv_g, kind="stable")
     inv_sorted = inv_g[order]
-    cumulative = np.cumsum(inv_sorted)
+    excess = inv_sorted - inv_sorted[0]
+    cumulative = np.cumsum(excess)
     n = gains.size
-    level = budget + inv_sorted[0]
     for k in range(1, n + 1):
         level = (budget + cumulative[k - 1]) / k
-        if k == n or level <= inv_sorted[k]:
+        if k == n or level <= excess[k]:
             break
     powers_sorted = np.zeros(n)
-    powers_sorted[:k] = level - inv_sorted[:k]
+    powers_sorted[:k] = level - excess[:k]
     powers = np.zeros(n)
     powers[order] = powers_sorted
     return PowerAllocation(powers, "waterfilling")

@@ -328,6 +328,7 @@ class TestCliEndToEnd:
                        "--out", str(tmp_path / "fz"))
         assert proc.returncode == 0, proc.stderr
         assert "relative residual" in proc.stdout
+        assert "closed form:" in proc.stdout
 
     def test_factorize_uses_config_trials(self, tmp_path):
         cfg = self.write_config(tmp_path)  # trials: 2, k_users: 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwave_backhaul import (
     ArrayGeometry,
@@ -298,6 +300,22 @@ class TestAllocatePower:
             assert np.ptp(levels) <= 1e-9 * levels.max()
             if np.any(~active):
                 assert np.all(1.0 / gains[~active] >= levels.max() - 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=16),
+        st.floats(1e-6, 1e6),
+    )
+    def test_waterfilling_kkt_property(self, gains, budget):
+        gains = np.asarray(gains)
+        powers = allocate_power(gains, budget).powers
+        assert np.all(powers >= 0)
+        assert abs(powers.sum() - budget) <= 1e-12 * budget
+        active = powers > 0
+        levels = powers[active] + 1.0 / gains[active]
+        level = levels.max()
+        assert np.ptp(levels) <= 1e-12 * level
+        assert np.all(1.0 / gains[~active] >= level * (1 - 1e-12))
 
     def test_beats_equal_split(self):
         rng = np.random.default_rng(32)
