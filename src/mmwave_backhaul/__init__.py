@@ -54,7 +54,6 @@ from .factorization import (
 from .output import RankProfileTable, RunManifest, emit_csv, manifest_matches, read_manifest, write_manifest
 from .precoding import (
     MuExactSet,
-    PowerAllocation,
     TruncatedSvd,
     allocate_power,
     equivalent_channel,

@@ -25,13 +25,12 @@ from .channel import PathDistribution, assemble_channel, sample_paths, singular_
 from .config import PRESET_NAMES, parse_config, preset_scenarios, render_config
 from .errors import ConfigError
 from .estimation import ChannelOracle, estimate_channel
-from .factorization import factorize
 from .output import RankProfileTable, emit_csv, write_manifest
 from .precoding import factored_svd
 from .simulation import (
-    _LINK_FACTORIZE_OPTS,
     CapacityResult,
     ScenarioConfig,
+    _hybrid_precoder,
     _UserChannel,
     derive_rng,
     observation_noise_var,
@@ -150,9 +149,8 @@ def cmd_estimate_demo(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    # The precoder targets a link factorizes: each user's min(n_bb_sm,
-    # rank) singular vectors from its paths, at the link's options, from
-    # the steering matrix when every path is a stream.
+    # The precoder targets a hybrid link factorizes: each user's
+    # min(n_bb_sm, rank) singular vectors from its paths.
     scenarios = _load_scenarios(args)
     cfg = scenarios[0]
     out_dir = _prepare_out(args)
@@ -166,9 +164,7 @@ def cmd_factorize(args) -> int:
         for _ in range(cfg.k_users):
             user = _UserChannel.from_paths(tx_geom, rx_geom, sample_paths(dist, rng))
             decomposition = factored_svd(user.a_tx, user.coeffs, user.a_rx, cfg.n_bb_sm)
-            exact = decomposition.rank_used == user.coeffs.size
-            result = factorize(decomposition.left.conj().T, _LINK_FACTORIZE_OPTS,
-                               start=user.a_tx.conj().T if exact else None)
+            result, exact = _hybrid_precoder(user, decomposition)
             closed_form += exact
             residuals.append(result.residual)
             iterations.append(result.iterations_used)

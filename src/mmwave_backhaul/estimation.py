@@ -440,8 +440,15 @@ def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> L
     return LineSpectrum(frequencies=freqs, coefficients=coefs, residual=residual)
 
 
+# Relative cut on the gain fit's singular values: when two estimated
+# angles nearly coincide their steering columns become close to collinear,
+# and an unregularized solve would split the gain into a huge cancelling
+# pair.
+_GAIN_FIT_RCOND = 1e-3
+
+
 def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry,
-                   path_loss: float = 1.0, rcond: float = 1e-3):
+                   path_loss: float = 1.0):
     """Least-squares coupling matrix between departure and arrival angles.
 
     Each measurement is a ``(tx, rx, values)`` triple with tx of shape
@@ -451,12 +458,8 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
     building it.  The fit finds the coupling matrix D
     (len(aods), len(aoas)) minimizing the residual of the model channel
     ``sqrt(n_tx*n_rx/path_loss) * A_tx(aods) @ D @ A_rx(aoas)^H`` against
-    all scalar observations.  Returns ``(D, relative_residual)``.
-
-    ``rcond`` truncates near-null directions of the design matrix: when
-    two estimated angles nearly coincide their steering columns become
-    close to collinear, and an unregularized solve would split the gain
-    into a huge cancelling pair.
+    all scalar observations, with near-null directions of the design
+    matrix truncated.  Returns ``(D, relative_residual)``.
 
     Raises
     ------
@@ -493,7 +496,7 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
         )
     design = np.vstack(design_blocks)
     rhs = np.concatenate(rhs_blocks)
-    solution, *_ = np.linalg.lstsq(design, rhs, rcond=rcond)
+    solution, *_ = np.linalg.lstsq(design, rhs, rcond=_GAIN_FIT_RCOND)
     rhs_norm = np.linalg.norm(rhs)
     residual = float(np.linalg.norm(design @ solution - rhs) / rhs_norm) if rhs_norm > 0 else 0.0
     coupling = solution.reshape(n_aoa, n_aod).conj().T

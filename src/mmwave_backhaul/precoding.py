@@ -24,7 +24,6 @@ from .errors import SingularCouplingError
 __all__ = [
     "TruncatedSvd",
     "MuExactSet",
-    "PowerAllocation",
     "truncated_svd",
     "factored_svd",
     "mu_assemble",
@@ -83,19 +82,6 @@ class MuExactSet:
     @property
     def rank(self) -> int:
         return self.per_user[0].rank_used
-
-
-@dataclass
-class PowerAllocation:
-    """Per-stream transmit powers summing to the allocated budget."""
-
-    powers: np.ndarray
-    strategy: str
-
-    def __post_init__(self):
-        self.powers = np.asarray(self.powers, dtype=float)
-        if np.any(self.powers < 0) or not np.all(np.isfinite(self.powers)):
-            raise ValueError("powers must be finite and non-negative")
 
 
 def _fix_phases(u: np.ndarray, v: np.ndarray) -> None:
@@ -251,8 +237,8 @@ def equivalent_channel(
     return p_d @ p_tilde_d @ (p_a @ h_stack @ c_bar)
 
 
-def allocate_power(gains, budget: float, strategy: str = "waterfilling") -> PowerAllocation:
-    """Split a transmit budget over parallel channels.
+def allocate_power(gains, budget: float, strategy: str = "waterfilling") -> np.ndarray:
+    """Per-stream transmit powers splitting a budget over parallel channels.
 
     Parameters
     ----------
@@ -271,7 +257,7 @@ def allocate_power(gains, budget: float, strategy: str = "waterfilling") -> Powe
     if budget <= 0:
         raise ValueError("budget must be positive")
     if strategy == "equal":
-        return PowerAllocation(np.full(gains.size, budget / gains.size), "equal")
+        return np.full(gains.size, budget / gains.size)
     if strategy != "waterfilling":
         raise ValueError(f"unknown allocation strategy: {strategy!r}")
 
@@ -295,4 +281,4 @@ def allocate_power(gains, budget: float, strategy: str = "waterfilling") -> Powe
     powers_sorted[:k] = level - excess[:k]
     powers = np.zeros(n)
     powers[order] = powers_sorted
-    return PowerAllocation(powers, "waterfilling")
+    return powers

@@ -12,7 +12,10 @@ interference-aware refinement passes, so the chosen allocation never
 falls below the equal split on the design-side capacity).  ``hybrid_*``
 schemes factorize the per-user precoders/combiners through the
 constant-modulus stage first; ``full_digital`` keeps the exact factors.
-Capacity always includes the residual inter-stream interference.
+Each link keeps every user's combined outputs whitened by its noise
+covariance, computed once when the link is built, and one evaluator,
+:func:`user_capacity`, gives every capacity from them; capacity always
+includes the residual inter-stream interference.
 
 SNR is defined as total transmit budget over the (unit) noise variance;
 channels have unit mean path power, so the axes are self-consistent.
@@ -37,7 +40,7 @@ from .errors import ConfigValidationError
 from .estimation import ChannelOracle, EstimationConfig, estimate_channel
 from .factorization import FactorizeOptions, factorize, factorize_combiner
 from .precoding import (
-    PowerAllocation,
+    TruncatedSvd,
     _block_diag,
     allocate_power,
     factored_svd,
@@ -213,65 +216,29 @@ def observation_noise_var(cfg: ScenarioConfig) -> float:
     return (1.0 / cfg.path_loss) / 10.0 ** (cfg.estimation.snr_db / 10.0)
 
 
-def user_capacity(
-    g: np.ndarray,
-    user_index: int,
-    powers: PowerAllocation,
-    noise_cov: np.ndarray,
-    interference: bool = True,
-    offsets=None,
-) -> float:
-    """Capacity in bpcu of one user's streams through an equivalent channel.
+def user_capacity(w: np.ndarray, own: slice, powers: np.ndarray) -> float:
+    """Capacity in bpcu of one user's streams, the other streams as interference.
 
-    ``g`` is the square stream-to-output map whose (k, j) block sends
-    user j's streams into user k's combined outputs; user k's streams
-    are rows and columns ``offsets[k]:offsets[k+1]``.  Without
-    ``offsets`` every user has as many streams as ``noise_cov`` has
-    rows.  ``noise_cov`` is this user's combined noise covariance; with
-    ``interference`` the other users' blocks enter as colored noise.
-
-    Raises
-    ------
-    ValueError
-        If the noise covariance is not Hermitian positive definite.
+    ``w`` (r x S) maps all S streams into the user's r combined outputs,
+    whitened by the Cholesky factor of the user's noise covariance, so
+    the noise is white; ``own`` selects the user's own streams (columns)
+    and ``powers`` holds the S per-stream transmit powers.  With the
+    interference-plus-noise covariance ``I + W P_-k W^H = M M^H``, the
+    capacity is ``log2 det(I + M^-1 W_k P_k W_k^H M^-H)``.
     """
-    g = np.asarray(g, dtype=complex)
-    noise_cov = np.asarray(noise_cov, dtype=complex)
-    p = np.asarray(powers.powers, dtype=float)
-    r = noise_cov.shape[0]
-    if offsets is None:
-        offsets = range(0, g.shape[0] + r, r)
-    n_users = len(offsets) - 1
-    if not 0 <= user_index < n_users:
-        raise ValueError("user_index out of range")
-    rows = slice(offsets[user_index], offsets[user_index + 1])
-    if (g.shape[0] != g.shape[1] or g.shape[0] != offsets[-1] or p.size != g.shape[0]
-            or rows.stop - rows.start != r):
-        raise ValueError("shapes of g, powers and noise_cov are inconsistent")
-
-    noise_cov = 0.5 * (noise_cov + noise_cov.conj().T)
-    try:
-        chol = np.linalg.cholesky(noise_cov if not interference else noise_cov + _interference_cov(
-            g, rows, p))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("combined noise covariance must be positive definite") from exc
-
-    own = g[rows, rows]
-    signal = (own * p[rows]) @ own.conj().T
-    # Whiten: capacity = log2 det(I + L^-1 S L^-H) with S PSD.
-    half = np.linalg.solve(chol, signal)
-    whitened = np.linalg.solve(chol, half.conj().T).conj().T
-    whitened = 0.5 * (whitened + whitened.conj().T)
-    eigs = np.linalg.eigvalsh(np.eye(r) + whitened)
-    return float(np.sum(np.log2(np.maximum(eigs.real, 1.0))))
+    r = w.shape[0]
+    others = _others(powers, own)
+    chol = np.linalg.cholesky(np.eye(r) + (w * others) @ w.conj().T)
+    half = np.linalg.solve(chol, w[:, own] * np.sqrt(powers[own]))
+    eigs = np.linalg.eigvalsh(np.eye(r) + half @ half.conj().T)
+    return float(np.sum(np.log2(np.maximum(eigs, 1.0))))
 
 
-def _interference_cov(g, rows, p):
-    # Every other user's streams, at their powers, into these outputs.
-    others = p.copy()
-    others[rows] = 0.0
-    block = g[rows]
-    return (block * others) @ block.conj().T
+def _others(powers, own):
+    # The powers of every stream but the user's own.
+    others = powers.copy()
+    others[own] = 0.0
+    return others
 
 
 @dataclass
@@ -304,39 +271,52 @@ class _UserChannel:
 
 @dataclass
 class _Link:
-    """One scheme's design for one channel draw, evaluated on the truth."""
+    """One scheme's design for one channel draw, evaluated on the truth.
 
-    g_true: np.ndarray        # receive-orientation equivalent channel (S, S), S streams
-    g_design: np.ndarray      # same map built from the design CSI
+    User k's streams are ``streams[k]``, and its combined outputs see all
+    S streams through ``L_k^-1 G_k``: the user's rows ``G_k`` (r_k x S) of
+    the stream-to-output map, whitened by the Cholesky factor ``L_k`` of
+    its combined noise covariance.
+    """
+
+    w_true: list              # per user, whitened rows of the true map
+    w_design: list            # the same built from the design CSI
     design_gains: np.ndarray  # per-stream |gain|^2 / noise, from the design CSI
-    noise_covs: list          # per-user combined noise covariance
-    noise_chols: list         # their Cholesky factors
     offsets: np.ndarray       # user k's streams are offsets[k]:offsets[k+1]
     coupling_cond: float
 
     @property
-    def n_users(self) -> int:
-        return len(self.noise_covs)
+    def streams(self) -> list:
+        return [slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
 
-def _build_link(design, truth, max_streams, noise_var, factorized,
-                opts: FactorizeOptions | None = None) -> _Link:
+def _hybrid_precoder(user: _UserChannel, svd: TruncatedSvd):
+    """One user's precoder in a hybrid link, and whether it is closed form.
+
+    ``svd`` holds the user's kept singular triplets.  When every path is a
+    stream, the kept subspaces are spanned by the paths' array responses,
+    which already have the analog stage's constant modulus, so the
+    factorization starts from them and is exact at once (closed form).
+    """
+    closed_form = svd.rank_used == user.coeffs.size
+    precoder = factorize(svd.left.conj().T, _LINK_FACTORIZE_OPTS,
+                         start=user.a_tx.conj().T if closed_form else None)
+    return precoder, closed_form
+
+
+def _build_link(design, truth, max_streams, noise_var, factorized) -> _Link:
     # Each user gets one stream per non-zero singular value of its design
-    # channel, up to max_streams.  When every path is a stream, the kept
-    # subspaces are spanned by the paths' array responses, which already
-    # have the analog stage's constant modulus, so the factorization
-    # starts from them and is exact at once.
+    # channel, up to max_streams.
     svds = [factored_svd(c.a_tx, c.coeffs, c.a_rx, max_streams) for c in design]
     offsets = np.cumsum([0] + [s.rank_used for s in svds])
     u_tilde = np.hstack([s.left for s in svds])
     if factorized:
-        opts = opts or _LINK_FACTORIZE_OPTS
         precs, combiners = [], []
         for c, s in zip(design, svds):
-            closed_form = s.rank_used == c.coeffs.size
-            precs.append(factorize(s.left.conj().T, opts,
-                                   start=c.a_tx.conj().T if closed_form else None))
-            comb = factorize_combiner(s.right, opts, start=c.a_rx if closed_form else None)
+            prec, closed_form = _hybrid_precoder(c, s)
+            comb = factorize_combiner(s.right, _LINK_FACTORIZE_OPTS,
+                                      start=c.a_rx if closed_form else None)
+            precs.append(prec)
             combiners.append(comb.analog @ comb.digital)
         p_tilde_d = _block_diag([p.digital for p in precs])
         p_a = np.vstack([p.analog for p in precs])
@@ -347,8 +327,10 @@ def _build_link(design, truth, max_streams, noise_var, factorized,
     p_d, cond = mu_digital_precoder(p_tilde_d, p_a, u_tilde)
     composite = (p_d @ p_tilde_d @ p_a).conj().T
 
-    noise_covs = [noise_var * (c.conj().T @ c) for c in combiners]
-    noise_chols = [np.linalg.cholesky(0.5 * (nc + nc.conj().T)) for nc in noise_covs]
+    # Each user's combined noise covariance, factored once; numpy's
+    # LinAlgError (a ValueError) reports one that is not positive definite.
+    covs = [noise_var * (c.conj().T @ c) for c in combiners]
+    chols = [np.linalg.cholesky(0.5 * (n + n.conj().T)) for n in covs]
 
     # With hybrid factors the per-user link through the zero-forcing stage
     # is only approximately diagonal.  Rotating each user's own streams by
@@ -357,11 +339,10 @@ def _build_link(design, truth, max_streams, noise_var, factorized,
     # design gains are then true capacities-per-unit-power, so
     # waterfilling is optimal for the design objective.
     design_gains = np.empty(offsets[-1])
-    for k, (user, comb, chol) in enumerate(zip(design, combiners, noise_chols)):
+    for k, (user, comb, chol) in enumerate(zip(design, combiners, chols)):
         block = slice(offsets[k], offsets[k + 1])
         own = comb.conj().T @ user.adjoint_times(composite[:, block])
-        whitened = np.linalg.solve(chol, own)
-        _, sing, rot_h = np.linalg.svd(whitened)
+        _, sing, rot_h = np.linalg.svd(np.linalg.solve(chol, own))
         composite[:, block] = composite[:, block] @ rot_h.conj().T
         design_gains[block] = sing**2
 
@@ -373,36 +354,31 @@ def _build_link(design, truth, max_streams, noise_var, factorized,
     precoder = composite / col_norms
     design_gains = np.maximum(design_gains / col_norms**2, _GAIN_FLOOR)
 
-    def equivalent(users):
-        return np.vstack([c.conj().T @ u.adjoint_times(precoder)
-                          for c, u in zip(combiners, users)])
+    def whitened(users):
+        return [np.linalg.solve(chol, c.conj().T @ u.adjoint_times(precoder))
+                for c, u, chol in zip(combiners, users, chols)]
 
-    g_true = equivalent(truth)
-    g_design = g_true if design is truth else equivalent(design)
-    return _Link(g_true=g_true, g_design=g_design, design_gains=design_gains,
-                 noise_covs=noise_covs, noise_chols=noise_chols, offsets=offsets,
-                 coupling_cond=cond)
-
-
-def _design_capacity(link: _Link, powers: np.ndarray) -> float:
-    alloc = PowerAllocation(powers, "waterfilling")
-    return sum(
-        user_capacity(link.g_design, k, alloc, link.noise_covs[k], True, link.offsets)
-        for k in range(link.n_users)
-    )
+    w_true = whitened(truth)
+    w_design = w_true if design is truth else whitened(design)
+    return _Link(w_true=w_true, w_design=w_design, design_gains=design_gains,
+                 offsets=offsets, coupling_cond=cond)
 
 
-def _refined_waterfilling(link: _Link, budget: float) -> PowerAllocation:
+def _sum_capacity(link: _Link, blocks: list, powers: np.ndarray) -> float:
+    return sum(user_capacity(w, own, powers) for own, w in zip(link.streams, blocks))
+
+
+def _refined_waterfilling(link: _Link, budget: float) -> np.ndarray:
     # Waterfilling with interference-aware refinement.  Candidates are
     # evaluated on the design-side capacity (all the transmitter knows);
     # starting from the better of {equal split, plain waterfilling} and
     # accepting only improvements guarantees the result never falls below
     # the equal allocation on that objective.
     candidates = [
-        allocate_power(link.design_gains, budget, "equal").powers,
-        allocate_power(link.design_gains, budget, "waterfilling").powers,
+        allocate_power(link.design_gains, budget, "equal"),
+        allocate_power(link.design_gains, budget, "waterfilling"),
     ]
-    values = [_design_capacity(link, p) for p in candidates]
+    values = [_sum_capacity(link, link.w_design, p) for p in candidates]
     best = int(np.argmax(values))
     best_powers, best_value = candidates[best], values[best]
     current = best_powers
@@ -410,32 +386,24 @@ def _refined_waterfilling(link: _Link, budget: float) -> PowerAllocation:
         # Effective per-stream gains with the current interference treated
         # as extra (whitened) noise.
         inflation = np.empty(link.design_gains.size)
-        for k in range(link.n_users):
-            rows = slice(link.offsets[k], link.offsets[k + 1])
-            cov = _interference_cov(link.g_design, rows, current)
-            chol = link.noise_chols[k]
-            whitened = np.linalg.solve(chol, np.linalg.solve(chol, cov).conj().T).conj().T
-            inflation[rows] = 1.0 + np.maximum(np.real(np.diag(whitened)), 0.0)
+        for own, w in zip(link.streams, link.w_design):
+            inflation[own] = 1.0 + np.abs(w) ** 2 @ _others(current, own)
         effective = np.maximum(link.design_gains / inflation, _GAIN_FLOOR)
-        current = allocate_power(effective, budget, "waterfilling").powers
-        value = _design_capacity(link, current)
+        current = allocate_power(effective, budget, "waterfilling")
+        value = _sum_capacity(link, link.w_design, current)
         if value > best_value:
             best_powers, best_value = current, value
         else:
             break
-    return PowerAllocation(best_powers, "waterfilling")
+    return best_powers
 
 
-def _link_capacity(link: _Link, budget: float, allocation: str) -> tuple[float, PowerAllocation]:
+def _link_capacity(link: _Link, budget: float, allocation: str) -> float:
     if allocation == "waterfilling":
         powers = _refined_waterfilling(link, budget)
     else:
         powers = allocate_power(link.design_gains, budget, allocation)
-    total = sum(
-        user_capacity(link.g_true, k, powers, link.noise_covs[k], True, link.offsets)
-        for k in range(link.n_users)
-    )
-    return total, powers
+    return _sum_capacity(link, link.w_true, powers)
 
 
 def full_digital_baseline(channels, snr_db: float, allocation: str = "waterfilling",
@@ -458,8 +426,7 @@ def full_digital_baseline(channels, snr_db: float, allocation: str = "waterfilli
     users = [_UserChannel.from_matrix(h) for h in channels]
     link = _build_link(users, users, n_rx, noise_var, factorized=False)
     budget = noise_var * 10.0 ** (snr_db / 10.0)
-    capacity, _ = _link_capacity(link, budget, allocation)
-    return capacity
+    return _link_capacity(link, budget, allocation)
 
 
 def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
@@ -507,13 +474,12 @@ def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
 
         for scheme, link in links.items():
             for snr in cfg.snr_grid_db:
-                capacity, _ = _link_capacity(link, budgets[snr], cfg.allocation)
                 rows.append(CapacityRow(
                     scheme=scheme,
                     allocation=cfg.allocation,
                     snr_db=snr,
                     k_factor_db=cfg.k_factor_db,
                     trial=trial,
-                    capacity_bpcu=capacity,
+                    capacity_bpcu=_link_capacity(link, budgets[snr], cfg.allocation),
                 ))
     return CapacityResult(rows=rows)

@@ -206,7 +206,7 @@ def test_criterion_6_oracle_equivalences():
     for gains, budget in (((4.0, 2.0, 1.0), 1.0), ((5.0, 1.3, 0.7), 2.0)):
         step = 1e-4 * budget
         brute = _brute_force_waterfilling(gains, budget, step)
-        exact = allocate_power(gains, budget).powers
+        exact = allocate_power(gains, budget)
         deviation = np.max(np.abs(exact - brute))
         assert deviation <= 1e-4 * budget + step / 2
         step_report.append(deviation / budget)

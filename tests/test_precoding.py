@@ -264,37 +264,46 @@ class TestEquivalentChannel:
 
 class TestAllocatePower:
     def test_symmetric_split(self):
-        alloc = allocate_power([2.5, 2.5], 3.0)
-        np.testing.assert_allclose(alloc.powers, [1.5, 1.5], atol=1e-12)
+        powers = allocate_power([2.5, 2.5], 3.0)
+        np.testing.assert_allclose(powers, [1.5, 1.5], atol=1e-12)
 
     def test_two_mode_closed_form(self):
-        alloc = allocate_power([4.0, 1.0], 1.0)
-        np.testing.assert_allclose(alloc.powers, [0.875, 0.125], atol=1e-12)
+        powers = allocate_power([4.0, 1.0], 1.0)
+        np.testing.assert_allclose(powers, [0.875, 0.125], atol=1e-12)
 
     def test_tiny_budget_single_mode(self):
-        alloc = allocate_power([10.0, 0.1], 1e-9)
-        assert alloc.powers[1] == 0.0
-        assert alloc.powers[0] == pytest.approx(1e-9)
+        powers = allocate_power([10.0, 0.1], 1e-9)
+        assert powers[1] == 0.0
+        assert powers[0] == pytest.approx(1e-9)
 
     def test_equal_strategy(self):
-        alloc = allocate_power([5.0, 1.0, 0.2], 6.0, "equal")
-        np.testing.assert_allclose(alloc.powers, [2.0, 2.0, 2.0])
+        powers = allocate_power([5.0, 1.0, 0.2], 6.0, "equal")
+        np.testing.assert_allclose(powers, [2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("strategy", ["waterfilling", "equal"])
+    def test_plain_finite_nonnegative_powers(self, strategy):
+        gains = np.array([1e-300, 1e-6, 1.0, 1e6, 1e300])
+        for budget in (1e-9, 1.0, 1e9):
+            powers = allocate_power(gains, budget, strategy)
+            assert type(powers) is np.ndarray and powers.dtype == float
+            assert powers.shape == gains.shape
+            assert np.all(np.isfinite(powers)) and np.all(powers >= 0)
 
     def test_budget_conserved(self):
         rng = np.random.default_rng(30)
         for _ in range(100):
             gains = rng.uniform(0.01, 10.0, int(rng.integers(1, 12)))
             budget = float(rng.uniform(0.01, 100.0))
-            alloc = allocate_power(gains, budget)
-            assert abs(alloc.powers.sum() - budget) <= 1e-9 * budget
-            assert np.all(alloc.powers >= 0)
+            powers = allocate_power(gains, budget)
+            assert abs(powers.sum() - budget) <= 1e-9 * budget
+            assert np.all(powers >= 0)
 
     def test_kkt_conditions(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             gains = rng.uniform(0.01, 10.0, 8)
             budget = float(rng.uniform(0.1, 50.0))
-            powers = allocate_power(gains, budget).powers
+            powers = allocate_power(gains, budget)
             active = powers > 0
             levels = powers[active] + 1.0 / gains[active]
             assert np.ptp(levels) <= 1e-9 * levels.max()
@@ -308,7 +317,7 @@ class TestAllocatePower:
     )
     def test_waterfilling_kkt_property(self, gains, budget):
         gains = np.asarray(gains)
-        powers = allocate_power(gains, budget).powers
+        powers = allocate_power(gains, budget)
         assert np.all(powers >= 0)
         assert abs(powers.sum() - budget) <= 1e-12 * budget
         active = powers > 0
@@ -322,8 +331,8 @@ class TestAllocatePower:
         for _ in range(100):
             gains = rng.uniform(0.01, 10.0, 6)
             budget = float(rng.uniform(0.1, 50.0))
-            wf = allocate_power(gains, budget).powers
-            eq = allocate_power(gains, budget, "equal").powers
+            wf = allocate_power(gains, budget)
+            eq = allocate_power(gains, budget, "equal")
             assert np.sum(np.log2(1 + wf * gains)) >= np.sum(np.log2(1 + eq * gains)) - 1e-12
 
     def test_invalid_inputs(self):

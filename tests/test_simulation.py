@@ -9,7 +9,6 @@ from mmwave_backhaul import (
     EstimationConfig,
     PathDistribution,
     PathSet,
-    PowerAllocation,
     ScenarioConfig,
     allocate_power,
     assemble_channel,
@@ -20,49 +19,66 @@ from mmwave_backhaul import (
     sample_paths,
     user_capacity,
 )
-from mmwave_backhaul.simulation import _build_link, _UserChannel
+from mmwave_backhaul.simulation import _build_link, _sum_capacity, _UserChannel
 
 REFERENCE = dict(n_ma=512, n_sm=32, k_users=4, n_bb_ma=16, n_bb_sm=4)
+
+
+def _whiten(noise_cov, rows):
+    return np.linalg.solve(np.linalg.cholesky(noise_cov), rows)
 
 
 class TestUserCapacity:
     def test_scalar_link(self):
         g = np.array([[0.7 - 0.4j]])
-        powers = PowerAllocation(np.array([5.0]), "equal")
-        noise = np.array([[2.0]])
         expected = np.log2(1 + 5.0 * abs(g[0, 0]) ** 2 / 2.0)
-        assert user_capacity(g, 0, powers, noise, interference=False) == pytest.approx(expected)
+        w = _whiten(np.array([[2.0]]), g)
+        assert user_capacity(w, slice(0, 1), np.array([5.0])) == pytest.approx(expected)
 
     def test_diagonal_matches_parallel_channels(self):
         sigmas = np.array([3.0, 2.0, 1.5, 0.5])
         g = np.diag(sigmas).astype(complex)
         p = np.array([0.4, 0.3, 0.2, 0.1])
-        powers = PowerAllocation(p, "waterfilling")
         noise = 0.5 * np.eye(2, dtype=complex)
         total = sum(
-            user_capacity(g, k, powers, noise, interference=True) for k in range(2)
+            user_capacity(_whiten(noise, g[rows]), rows, p)
+            for rows in (slice(0, 2), slice(2, 4))
         )
         assert total == pytest.approx(np.sum(np.log2(1 + p * sigmas**2 / 0.5)))
 
     def test_zero_power_zero_capacity(self):
-        g = np.eye(4, dtype=complex)
-        powers = PowerAllocation(np.zeros(4), "equal")
-        assert user_capacity(g, 1, powers, np.eye(2, dtype=complex)) == 0.0
+        w = np.eye(4, dtype=complex)[2:]
+        assert user_capacity(w, slice(2, 4), np.zeros(4)) == 0.0
 
     def test_interference_reduces_capacity(self):
         rng = np.random.default_rng(0)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        powers = PowerAllocation(np.full(4, 2.0), "equal")
-        noise = np.eye(2, dtype=complex)
-        with_interference = user_capacity(g, 0, powers, noise, interference=True)
-        without = user_capacity(g, 0, powers, noise, interference=False)
-        assert with_interference <= without + 1e-12
+        w = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        own = slice(0, 2)
+        powers = np.full(4, 2.0)
+        alone = np.where(np.arange(4) < 2, powers, 0.0)  # no power on the other streams
+        assert user_capacity(w, own, powers) <= user_capacity(w, own, alone) + 1e-12
 
-    def test_rejects_indefinite_noise(self):
-        g = np.eye(2, dtype=complex)
-        powers = PowerAllocation(np.ones(2), "equal")
-        with pytest.raises(ValueError):
-            user_capacity(g, 0, powers, -np.eye(1, dtype=complex))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_log_det_reference(self, seed):
+        # sum_k log2 det(N_k + G_k P G_k^H) - log2 det(N_k + G_k P_-k G_k^H)
+        # on the unwhitened rows, with non-identity noise covariances.
+        rng = np.random.default_rng([91, seed])
+        offsets = np.cumsum([0, *rng.integers(1, 5, size=int(rng.integers(1, 5)))])
+        n = offsets[-1]
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        powers = rng.uniform(0.0, 3.0, n)
+        total = reference = 0.0
+        for own in (slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])):
+            r = own.stop - own.start
+            a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+            noise = a @ a.conj().T + 0.1 * np.eye(r)
+            others = powers.copy()
+            others[own] = 0.0
+            rows = g[own]
+            reference += (np.linalg.slogdet(noise + (rows * powers) @ rows.conj().T)[1]
+                          - np.linalg.slogdet(noise + (rows * others) @ rows.conj().T)[1])
+            total += user_capacity(_whiten(noise, rows), own, powers)
+        assert total == pytest.approx(reference / np.log(2), rel=1e-10)
 
 
 class TestScenarioValidation:
@@ -204,7 +220,7 @@ class TestFullDigitalBaseline:
         capacity = full_digital_baseline([h], snr_db)
         sigmas = np.linalg.svd(h, compute_uv=False)
         gains = np.maximum(sigmas**2, 1e-300)
-        powers = allocate_power(gains, 10.0 ** (snr_db / 10.0)).powers
+        powers = allocate_power(gains, 10.0 ** (snr_db / 10.0))
         expected = np.sum(np.log2(1 + powers * gains))
         assert capacity == pytest.approx(expected, rel=1e-9)
 
@@ -220,7 +236,7 @@ class TestFullDigitalBaseline:
         snr_db = 12.0
         capacity = full_digital_baseline(channels, snr_db)
         mode_gains = np.array([8 * abs(g) ** 2 for g in gains])
-        powers = allocate_power(mode_gains, 10.0 ** (snr_db / 10.0)).powers
+        powers = allocate_power(mode_gains, 10.0 ** (snr_db / 10.0))
         expected = np.sum(np.log2(1 + powers * mode_gains))
         assert capacity == pytest.approx(expected, rel=1e-9)
 
@@ -264,16 +280,40 @@ class TestStreamRule:
         full = _build_link(users, users, 32, 1.0, factorized=False)
         assert list(np.diff(hybrid.offsets)) == [2, 3, 4, 4]
         assert list(np.diff(full.offsets)) == [2, 3, 5, 6]
-        assert hybrid.g_true.shape == (13, 13) and full.g_true.shape == (16, 16)
-        # Exact factors zero-force every stream and diagonalize each own link.
-        np.testing.assert_allclose(np.abs(full.g_true - np.diag(np.diag(full.g_true))), 0,
-                                   atol=1e-9 * np.abs(full.g_true).max())
+        assert [w.shape for w in hybrid.w_true] == [(2, 13), (3, 13), (4, 13), (4, 13)]
+        assert [w.shape for w in full.w_true] == [(2, 16), (3, 16), (5, 16), (6, 16)]
+        # Exact factors zero-force every stream: every other user's columns
+        # of a user's whitened rows vanish, and its own block is diagonal.
+        scale = max(np.abs(w).max() for w in full.w_true)
+        for own, w in zip(full.streams, full.w_true):
+            leak = w.copy()
+            leak[:, own] -= np.diag(np.diag(w[:, own]))
+            np.testing.assert_allclose(np.abs(leak), 0, atol=1e-9 * scale)
+
+    def test_design_gains_are_whitened_own_link_capacities(self):
+        # The allocator's parallel-channel model is exact: with no power on
+        # the other users' streams, a user's capacity through its whitened
+        # design rows is the sum over its streams of log2(1 + p * gain).
+        rng = np.random.default_rng(83)
+        users = self.users(*(sample_paths(PathDistribution(2, 6), rng) for _ in range(4)))
+        link = _build_link(users, users, 4, 1.0, factorized=True)
+        powers = rng.uniform(0.5, 2.0, link.offsets[-1])
+        for own, w in zip(link.streams, link.w_design):
+            alone = np.zeros_like(powers)
+            alone[own] = powers[own]
+            expected = np.sum(np.log2(1 + powers[own] * link.design_gains[own]))
+            assert user_capacity(w, own, alone) == pytest.approx(expected, rel=1e-10)
+
+    def test_rejects_indefinite_noise(self):
+        users = self.users(sample_paths(PathDistribution(2, 2), np.random.default_rng(84)))
+        with pytest.raises(ValueError, match="positive definite"):
+            _build_link(users, users, 4, -1.0, factorized=False)
 
     @pytest.mark.parametrize("shared", ["aods", "aoas"])
     def test_estimate_with_shared_end(self, shared):
         # Estimated pairs may share a departure or an arrival direction;
-        # such a user's channel has rank one, so it gets one stream and
-        # positive-definite noise covariances.
+        # such a user's channel has rank one, so it gets one stream and a
+        # positive-definite noise covariance to whiten by.
         rng = np.random.default_rng([82, len(shared)])
         truth = [sample_paths(PathDistribution(2, 2), rng) for _ in range(2)]
         estimate = PathSet(gains=truth[0].gains, aods=truth[0].aods, aoas=truth[0].aoas)
@@ -281,11 +321,9 @@ class TestStreamRule:
         link = _build_link(self.users(estimate, truth[1]), self.users(*truth), 4, 1.0,
                            factorized=True)
         assert list(np.diff(link.offsets)) == [1, 2]
-        for cov in link.noise_covs:
-            assert np.all(np.linalg.eigvalsh(cov) > 0)
-        alloc = PowerAllocation(np.full(3, 10.0), "equal")
-        for k in range(2):
-            capacity = user_capacity(link.g_true, k, alloc, link.noise_covs[k], True, link.offsets)
+        assert all(np.all(np.isfinite(w)) for w in link.w_true + link.w_design)
+        for own, w in zip(link.streams, link.w_true):
+            capacity = user_capacity(w, own, np.full(3, 10.0))
             assert np.isfinite(capacity) and capacity >= 0
 
     def test_near_parallel_users(self):
@@ -298,9 +336,7 @@ class TestStreamRule:
         for factorized, streams in ((False, 32), (True, 4)):
             link = _build_link(users, users, streams, 1.0, factorized=factorized)
             assert 1e5 < link.coupling_cond < 1e8
-            capacity = sum(user_capacity(link.g_true, k, PowerAllocation(np.ones(2), "equal"),
-                                         link.noise_covs[k], True, link.offsets)
-                           for k in range(2))
+            capacity = _sum_capacity(link, link.w_true, np.ones(2))
             assert np.isfinite(capacity) and capacity >= 0
         h = [assemble_channel(self.tx, self.rx, p) for p in paths]
         assert np.isfinite(full_digital_baseline(h, 20.0))
