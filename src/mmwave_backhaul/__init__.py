@@ -30,7 +30,6 @@ from .errors import (
     SingularCouplingError,
 )
 from .estimation import (
-    BeamReport,
     ChannelOracle,
     Codebook,
     EstimationConfig,

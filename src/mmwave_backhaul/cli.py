@@ -133,8 +133,7 @@ def cmd_estimate_demo(args) -> int:
     paths = sample_paths(cfg.path_distribution(), rng)
     h = assemble_channel(tx_geom, rx_geom, paths)
     oracle = ChannelOracle(h, observation_noise_var(cfg), derive_rng(cfg.master_seed, 0, 1))
-    est_cfg = dataclasses.replace(cfg.estimation, path_loss=cfg.path_loss)
-    report = estimate_channel(oracle, tx_geom, rx_geom, est_cfg)
+    report = estimate_channel(oracle, tx_geom, rx_geom, cfg.estimation)
     nmse = np.linalg.norm(report.reconstruction - h) ** 2 / np.linalg.norm(h) ** 2
     print(f"true paths:        {paths.n_paths}")
     print(f"estimated paths:   {report.paired_paths.n_paths} "

@@ -1,14 +1,15 @@
 """Three-phase compressive channel estimation.
 
 Phase 1 sweeps coarse beam pairs from predefined codebooks and keeps the
-strongest ones.  Phase 2 points the transmitter along each kept beam and
-takes full receive-array snapshots (assembled chain-group by chain-group,
-since only a few baseband chains exist); a single-snapshot matrix-pencil
-line-spectral estimator turns each snapshot into arrival directions.
-Phase 3 swaps roles to estimate departure directions the same way.  A
-final least-squares fit recovers the coupling gains between every
-estimated departure/arrival pair, the dominant pairs become the path
-estimate, and the channel is rebuilt from them.
+strongest transmit beams.  Phase 2 points the transmitter along each
+kept beam and takes full receive-array snapshots (assembled chain-group
+by chain-group, since only a few baseband chains exist); a
+single-snapshot matrix-pencil line-spectral estimator turns each
+snapshot into arrival directions.  Phase 3 swaps roles to estimate
+departure directions the same way.  A final least-squares fit recovers
+the coupling gains between every estimated departure/arrival pair, the
+dominant pairs become the path estimate, and the channel is rebuilt
+from them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import EstimationFailedError, InsufficientMeasurementsError
 
 __all__ = [
     "Codebook",
-    "BeamReport",
     "LineSpectrum",
     "EstimationConfig",
     "EstimationReport",
@@ -43,24 +43,6 @@ class Codebook:
 
     beams: np.ndarray   # (n_elements, size)
     angles: np.ndarray  # (size,) in [0, 2*pi)
-
-    @property
-    def size(self) -> int:
-        return self.beams.shape[1]
-
-
-@dataclass
-class BeamReport:
-    """(tx_beam, rx_beam, received_power) triples, strongest first."""
-
-    pairs: list
-
-    def __post_init__(self):
-        powers = [p for _, _, p in self.pairs]
-        if any(p < 0 for p in powers):
-            raise ValueError("received powers must be non-negative")
-        if any(powers[i] < powers[i + 1] for i in range(len(powers) - 1)):
-            raise ValueError("pairs must be sorted by descending power")
 
 
 @dataclass
@@ -98,7 +80,8 @@ class EstimationConfig:
 
     ``snr_db`` is the observation SNR used by callers that build the
     measurement oracle (relative to the mean power of one channel
-    entry); the pipeline itself never adds noise.
+    entry); the pipeline itself never adds noise.  In a scenario the
+    chain counts and the path loss are the scenario's own.
 
     The codebook defaults suit a 512-element macro and 32-element
     small-cell array: critically sampled grids keep the worst-case beam
@@ -109,13 +92,13 @@ class EstimationConfig:
     l_ma: int = 512
     l_sm: int = 32
     keep: int = 8
-    n_bb_ma: int = 16
-    n_bb_sm: int = 4
     snr_db: float = 20.0
     rank_threshold: float = 1e-2
     max_paths: int = 8
     merge_tol: float | None = None
-    # Follows the scenario's path_loss, so it is not a config key.
+    # These follow the scenario's chains and path loss, so they are not config keys.
+    n_bb_ma: int = field(default=16, metadata={"config_key": False})
+    n_bb_sm: int = field(default=4, metadata={"config_key": False})
     path_loss: float = field(default=1.0, metadata={"config_key": False})
 
     def __post_init__(self):
@@ -138,13 +121,15 @@ class EstimationReport:
     aods: np.ndarray            # merged departure angles, strongest first
     gain_matrix: np.ndarray     # (len(aods), len(aoas)) coupling estimate
     paired_paths: PathSet       # dominant coupling entries
-    training_slots_used: int
     reconstruction: np.ndarray  # (n_tx, n_rx) channel rebuilt from the pairs
-    beam_report: BeamReport
     gain_residual: float = 0.0
     slots_phase1: int = 0
     slots_phase2: int = 0
     slots_phase3: int = 0
+
+    @property
+    def training_slots_used(self) -> int:
+        return self.slots_phase1 + self.slots_phase2 + self.slots_phase3
 
 
 class ChannelOracle:
@@ -232,29 +217,14 @@ def _codebook_arrays(geom: ArrayGeometry, size: int):
     return beams, angles
 
 
-def _top_pairs(power: np.ndarray, keep: int) -> BeamReport:
-    # power has shape (n_rx_beams, n_tx_beams); sort by descending power,
-    # then by beam indices so ties resolve deterministically.
-    n_rx, n_tx = power.shape
-    rx_idx, tx_idx = np.unravel_index(np.arange(power.size), power.shape)
-    flat = power.ravel()
-    order = np.lexsort((rx_idx, tx_idx, -flat))
-    kept = order[: min(keep, power.size)]
-    return BeamReport(pairs=[(int(tx_idx[i]), int(rx_idx[i]), float(flat[i])) for i in kept])
-
-
-def _sweep_report(oracle: ChannelOracle, tx_cb: Codebook, rx_cb: Codebook, keep: int) -> BeamReport:
-    observations = oracle.observe(tx_cb.beams, rx_cb.beams)
-    return _top_pairs(np.abs(observations) ** 2, keep)
-
-
-def _top_tx_beams(power: np.ndarray, keep: int) -> list:
-    # Rank transmit beams by their best received power over all combining
-    # beams; distinct beams (rather than raw pairs) keep weaker paths with
+def _strongest_tx_beams(oracle: ChannelOracle, tx_cb: Codebook, rx_cb: Codebook,
+                        keep: int) -> list:
+    # Phase 1: one observation per (tx beam, rx beam) pair, then the keep
+    # transmit beams with the strongest best-over-combiners power, ties by
+    # index.  Distinct beams (rather than raw pairs) keep weaker paths with
     # different departure directions in the probing budget.
-    best = power.max(axis=0)
-    order = np.lexsort((np.arange(best.size), -best))
-    return [int(i) for i in order[: min(keep, best.size)]]
+    best = (np.abs(oracle.observe(tx_cb.beams, rx_cb.beams)) ** 2).max(axis=0)
+    return [int(i) for i in np.argsort(-best, kind="stable")[:keep]]
 
 
 def coarse_sweep(
@@ -264,13 +234,15 @@ def coarse_sweep(
     noise_var: float,
     keep: int,
     rng: np.random.Generator,
-) -> BeamReport:
-    """Measure every (tx beam, rx beam) pair once and keep the strongest.
+) -> list:
+    """The pipeline's phase 1 on a fresh oracle: the strongest transmit beams.
 
-    Each pair yields one noisy observation ``rx^H h^H tx + noise``; the
-    report holds the top-``keep`` pairs by measured power.
+    Each (tx beam, rx beam) pair yields one noisy observation
+    ``rx^H h^H tx + noise``.  Transmit beams are ranked by their best
+    measured power over all receive beams, ties by index, and the
+    indices of the top ``keep`` are returned, strongest first.
     """
-    return _sweep_report(ChannelOracle(h, noise_var, rng), tx_cb, rx_cb, keep)
+    return _strongest_tx_beams(ChannelOracle(h, noise_var, rng), tx_cb, rx_cb, keep)
 
 
 def array_snapshot(
@@ -554,6 +526,36 @@ def _dominant_pairs(coupling: np.ndarray):
             for k in flat_order[:n_pairs]]
 
 
+def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry,
+                n_chains: int, cfg: EstimationConfig):
+    """Merged path directions at one array, one snapshot per beam.
+
+    With ``receive`` (phase 2) each beam is transmitted and ``geom`` is
+    the receive array; otherwise (phase 3) each beam combines at the
+    receiver and ``geom`` is the transmit array, whose snapshot is the
+    conjugate of the oracle's.  The pencil's order is capped at
+    ``min(max_paths, n // 2)`` and detections merge within ``merge_tol``
+    (default ``0.25 / n``).  Returns ``(snapshots, angles, slots)`` with
+    the snapshots as the oracle returned them.
+    """
+    n = geom.n_elements
+    order = min(cfg.max_paths, n // 2)
+    tol = cfg.merge_tol if cfg.merge_tol is not None else 0.25 / n
+    snapshots, detections, slots = [], [], 0
+    for beam in beams:
+        snapshot, used = oracle.snapshot(beam, n_chains, receive)
+        slots += used
+        spectrum = line_spectrum_estimate(snapshot if receive else snapshot.conj(), order,
+                                          cfg.rank_threshold)
+        detections.extend(zip(spectrum.frequencies, np.abs(spectrum.coefficients)))
+        snapshots.append(snapshot)
+    freqs = _merge_frequencies(detections, tol, cfg.max_paths, cfg.rank_threshold)
+    if freqs.size == 0:
+        side = "arrival" if receive else "departure"
+        raise EstimationFailedError(f"no {side} directions detected")
+    return snapshots, _freq_to_angle(freqs, geom.spacing), slots
+
+
 def estimate_channel(
     oracle: ChannelOracle,
     tx_geom: ArrayGeometry,
@@ -562,67 +564,34 @@ def estimate_channel(
 ) -> EstimationReport:
     """Run the full three-phase pipeline against a measurement oracle.
 
-    Phase 1 sweeps ``l_ma * l_sm`` coarse beam pairs; the report keeps
-    the best ``keep`` pairs.  Phase 2 takes one receive-array snapshot
-    for each of the ``keep`` strongest distinct transmit beams and
+    Phase 1 sweeps ``l_ma * l_sm`` coarse beam pairs and keeps the
+    ``keep`` transmit beams with the strongest best-over-combiners power.
+    Phase 2 takes one receive-array snapshot along each kept beam and
     merges the line-spectral arrival directions.  Phase 3 transmits
     back along each merged arrival direction and merges the departure
-    directions the same way.  A joint least-squares fit recovers the
-    coupling gains; the dominant entries become the path estimate and
-    the channel is rebuilt from them.
+    directions the same way.  A joint least-squares fit on every
+    snapshot recovers the coupling gains; the dominant entries become
+    the path estimate and the channel is rebuilt from them.
 
     Raises
     ------
     EstimationFailedError
-        If no beam pair or no direction survives a phase.
+        If no arrival or no departure direction survives its phase.
     """
     n_tx, n_rx = tx_geom.n_elements, rx_geom.n_elements
     tx_cb = dft_codebook(tx_geom, cfg.l_ma)
     rx_cb = dft_codebook(rx_geom, cfg.l_sm)
+    beams = _strongest_tx_beams(oracle, tx_cb, rx_cb, cfg.keep)
+    tx_beams = [tx_cb.beams[:, i] for i in beams]
+    rx_snaps, aoas, slots_phase2 = _directions(oracle, tx_beams, True, rx_geom, cfg.n_bb_sm, cfg)
+    back_beams = [steering_vector(rx_geom, aoa) for aoa in aoas]
+    tx_snaps, aods, slots_phase3 = _directions(oracle, back_beams, False, tx_geom, cfg.n_bb_ma, cfg)
 
-    sweep_power = np.abs(oracle.observe(tx_cb.beams, rx_cb.beams)) ** 2
-    report = _top_pairs(sweep_power, cfg.keep)
-    slots_phase1 = cfg.l_ma * cfg.l_sm
-    if not report.pairs:
-        raise EstimationFailedError("coarse sweep produced an empty beam report")
-
-    rx_tol = cfg.merge_tol if cfg.merge_tol is not None else 0.25 / n_rx
-    rx_order = min(cfg.max_paths, n_rx // 2)
-    rx_detections = []
-    phase2_measurements = []
-    slots_phase2 = 0
-    for tx_idx in _top_tx_beams(sweep_power, cfg.keep):
-        beam = tx_cb.beams[:, tx_idx]
-        snapshot, slots = oracle.snapshot(beam, cfg.n_bb_sm)
-        slots_phase2 += slots
-        spectrum = line_spectrum_estimate(snapshot, rx_order, cfg.rank_threshold)
-        rx_detections.extend(zip(spectrum.frequencies, np.abs(spectrum.coefficients)))
-        phase2_measurements.append((beam, None, snapshot.reshape(n_rx, 1)))
-    rx_freqs = _merge_frequencies(rx_detections, rx_tol, cfg.max_paths, cfg.rank_threshold)
-    if rx_freqs.size == 0:
-        raise EstimationFailedError("no arrival directions detected")
-    aoas = _freq_to_angle(rx_freqs, rx_geom.spacing)
-
-    tx_tol = cfg.merge_tol if cfg.merge_tol is not None else 0.25 / n_tx
-    tx_order = min(cfg.max_paths, n_tx // 2)
-    tx_detections = []
-    phase3_measurements = []
-    slots_phase3 = 0
-    for aoa in aoas:
-        back_beam = steering_vector(rx_geom, aoa)
-        raw, slots = oracle.snapshot(back_beam, cfg.n_bb_ma, receive=False)
-        slots_phase3 += slots
-        spectrum = line_spectrum_estimate(raw.conj(), tx_order, cfg.rank_threshold)
-        tx_detections.extend(zip(spectrum.frequencies, np.abs(spectrum.coefficients)))
-        phase3_measurements.append((None, back_beam, raw.reshape(1, n_tx)))
-    tx_freqs = _merge_frequencies(tx_detections, tx_tol, cfg.max_paths, cfg.rank_threshold)
-    if tx_freqs.size == 0:
-        raise EstimationFailedError("no departure directions detected")
-    aods = _freq_to_angle(tx_freqs, tx_geom.spacing)
-
-    coupling, gain_residual = estimate_gains(
-        phase2_measurements + phase3_measurements, aods, aoas, tx_geom, rx_geom, cfg.path_loss
-    )
+    # Phase-3 snapshots enter the fit unconjugated: they are back_beam^H h^H.
+    measurements = [(beam, None, snap.reshape(n_rx, 1)) for beam, snap in zip(tx_beams, rx_snaps)]
+    measurements += [(None, beam, raw.reshape(1, n_tx)) for beam, raw in zip(back_beams, tx_snaps)]
+    coupling, gain_residual = estimate_gains(measurements, aods, aoas, tx_geom, rx_geom,
+                                             cfg.path_loss)
     pairs = _dominant_pairs(coupling)
     paths = PathSet(
         gains=np.array([coupling[i, j] for i, j in pairs]),
@@ -630,17 +599,14 @@ def estimate_channel(
         aoas=np.array([aoas[j] for _, j in pairs]),
         path_loss=cfg.path_loss,
     )
-    reconstruction = assemble_channel(tx_geom, rx_geom, paths)
     return EstimationReport(
         aoas=aoas,
         aods=aods,
         gain_matrix=coupling,
         paired_paths=paths,
-        training_slots_used=slots_phase1 + slots_phase2 + slots_phase3,
-        reconstruction=reconstruction,
-        beam_report=report,
+        reconstruction=assemble_channel(tx_geom, rx_geom, paths),
         gain_residual=gain_residual,
-        slots_phase1=slots_phase1,
+        slots_phase1=cfg.l_ma * cfg.l_sm,
         slots_phase2=slots_phase2,
         slots_phase3=slots_phase3,
     )

@@ -69,10 +69,11 @@ _GAIN_FLOOR = np.finfo(float).tiny
 # The link builder iterates the constant-modulus factorization much deeper
 # than the standalone defaults.  Users whose every path is a stream start
 # from their steering matrices and stop after two exact steps, so only
-# users with more paths than streams iterate; the drop in inter-stream
-# leakage that deep iteration buys there is what keeps waterfilling ahead
-# of equal-power allocation on every draw even at high SNR, where the two
-# allocations' own-link capacities nearly coincide.
+# users with more paths than streams iterate; there, deeper iteration
+# lowers the inter-stream leakage of the hybrid design.  Waterfilling
+# never loses to equal power on an exact-CSI link at any depth: the
+# refinement starts from the better of the two on the design objective,
+# and such links design on the truth.
 _LINK_FACTORIZE_OPTS = FactorizeOptions(max_iterations=600, stall_tolerance=1e-12)
 
 
@@ -145,6 +146,11 @@ class ScenarioConfig:
         if "hybrid_estimated" in self.schemes and self.estimation is None:
             raise ConfigValidationError("hybrid_estimated requires an estimation section")
         if self.estimation is not None:
+            # The estimator samples the scenario's arrays with its chains.
+            object.__setattr__(self, "estimation", dataclasses.replace(
+                self.estimation, n_bb_ma=self.n_bb_ma, n_bb_sm=self.n_bb_sm,
+                path_loss=self.path_loss,
+            ))
             for name in ("n_ma", "n_sm"):
                 if getattr(self, name) < 4:
                     raise ConfigValidationError(
@@ -458,11 +464,10 @@ def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
         if "hybrid_estimated" in cfg.schemes:
             est_rng = derive_rng(cfg.master_seed, trial, 1)
             noise = observation_noise_var(cfg)
-            est_cfg = dataclasses.replace(cfg.estimation, path_loss=cfg.path_loss)
             estimates = []
             for p in paths:
                 oracle = ChannelOracle(assemble_channel(tx_geom, rx_geom, p), noise, est_rng)
-                report = estimate_channel(oracle, tx_geom, rx_geom, est_cfg)
+                report = estimate_channel(oracle, tx_geom, rx_geom, cfg.estimation)
                 estimates.append(_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths))
             links["hybrid_estimated"] = _build_link(
                 estimates, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True

@@ -43,7 +43,7 @@ COUNTS = st.integers(1, 64)
 
 ESTIMATIONS = st.builds(
     EstimationConfig,
-    l_ma=COUNTS, l_sm=COUNTS, keep=COUNTS, n_bb_ma=COUNTS, n_bb_sm=COUNTS,
+    l_ma=COUNTS, l_sm=COUNTS, keep=COUNTS,
     snr_db=FINITE,
     rank_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     max_paths=COUNTS,
@@ -113,6 +113,13 @@ class TestParseConfig:
         assert cfg.estimation.snr_db == 15.0
         with pytest.raises(ConfigValidationError, match="unknown estimation key"):
             parse_config_text(MINIMAL + "estimation:\n  beams: 4\n")
+
+    def test_estimation_follows_the_scenario(self):
+        # The estimator samples the scenario's arrays with the scenario's
+        # chains, at its path loss; none of the three is an estimation key.
+        cfg = parse_config_text(MINIMAL + "path_loss: 2.5\nestimation:\n  keep: 4\n")
+        assert (cfg.estimation.n_bb_ma, cfg.estimation.n_bb_sm) == (4, 2)
+        assert cfg.estimation.path_loss == 2.5
 
     def test_type_errors(self):
         with pytest.raises(ConfigValidationError, match="must be a int"):
@@ -315,7 +322,7 @@ class TestCliEndToEnd:
     def test_estimate_demo(self, tmp_path):
         cfg = self.write_config(
             tmp_path,
-            "estimation:\n  l_ma: 64\n  l_sm: 8\n  keep: 4\n  n_bb_ma: 4\n  n_bb_sm: 2\n",
+            "estimation:\n  l_ma: 64\n  l_sm: 8\n  keep: 4\n",
         )
         proc = run_cli("estimate-demo", "--config", str(cfg), "--out", str(tmp_path / "demo"))
         assert proc.returncode == 0, proc.stderr
@@ -360,13 +367,20 @@ class TestCliEndToEnd:
         assert proc.returncode == 2
         assert "not both" in proc.stderr
 
+    def test_estimation_chain_key_is_config_error(self, tmp_path):
+        cfg = tmp_path / "chains.yaml"
+        cfg.write_text(MINIMAL + "estimation: {n_bb_sm: 2}\n")
+        proc = run_cli("estimate-demo", "--config", str(cfg), "--out", str(tmp_path / "demo"))
+        assert proc.returncode == 2
+        assert "line 6: unknown estimation key 'n_bb_sm'" in proc.stderr
+
     def test_pencil_too_short_is_config_error(self, tmp_path):
         # A two-element receive array cannot support the line-spectral
         # snapshot fit, so the config is rejected when it is parsed.
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text(
             "n_ma: 16\nn_sm: 2\nk_users: 1\nn_bb_ma: 2\nn_bb_sm: 1\n"
-            "estimation:\n  l_ma: 8\n  l_sm: 2\n  keep: 2\n  n_bb_ma: 2\n  n_bb_sm: 1\n"
+            "estimation:\n  l_ma: 8\n  l_sm: 2\n  keep: 2\n"
         )
         proc = run_cli("estimate-demo", "--config", str(cfg))
         assert proc.returncode == 2

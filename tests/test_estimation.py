@@ -71,13 +71,16 @@ class TestDftCodebook:
 
 
 class TestCoarseSweep:
+    def best_powers(self, h, tx_cb, rx_cb):
+        # Brute-force best received power of each transmit beam.
+        return (np.abs(rx_cb.beams.conj().T @ h.conj().T @ tx_cb.beams) ** 2).max(axis=0)
+
     def test_on_grid_path_wins(self):
         tx_cb = dft_codebook(ArrayGeometry(8), 8)
         rx_cb = dft_codebook(ArrayGeometry(4), 4)
         paths = PathSet(gains=[1.0], aods=[tx_cb.angles[5]], aoas=[rx_cb.angles[2]])
         h = assemble_channel(ArrayGeometry(8), ArrayGeometry(4), paths)
-        report = coarse_sweep(h, tx_cb, rx_cb, 0.0, 3, np.random.default_rng(0))
-        assert report.pairs[0][:2] == (5, 2)
+        assert coarse_sweep(h, tx_cb, rx_cb, 0.0, 3, np.random.default_rng(0))[0] == 5
 
     def test_matches_brute_force_argmax(self):
         rng = np.random.default_rng(1)
@@ -85,20 +88,40 @@ class TestCoarseSweep:
         h = assemble_channel(ArrayGeometry(16), ArrayGeometry(8), paths)
         tx_cb = dft_codebook(ArrayGeometry(16), 16)
         rx_cb = dft_codebook(ArrayGeometry(8), 8)
-        report = coarse_sweep(h, tx_cb, rx_cb, 0.0, 1, np.random.default_rng(2))
-        brute = np.abs(rx_cb.beams.conj().T @ h.conj().T @ tx_cb.beams) ** 2
-        rx_best, tx_best = np.unravel_index(np.argmax(brute), brute.shape)
-        assert report.pairs[0][:2] == (tx_best, rx_best)
+        beams = coarse_sweep(h, tx_cb, rx_cb, 0.0, 1, np.random.default_rng(2))
+        assert beams == [int(np.argmax(self.best_powers(h, tx_cb, rx_cb)))]
 
     def test_keep_truncation(self):
         h = assemble_channel(ArrayGeometry(8), ArrayGeometry(4), separated_paths(3, 2, ArrayGeometry(8), ArrayGeometry(4)))
         tx_cb = dft_codebook(ArrayGeometry(8), 6)
         rx_cb = dft_codebook(ArrayGeometry(4), 4)
+        best = self.best_powers(h, tx_cb, rx_cb)
         for keep in (1, 5, 100):
-            report = coarse_sweep(h, tx_cb, rx_cb, 0.0, keep, np.random.default_rng(4))
-            assert len(report.pairs) == min(keep, 24)
-            powers = [p for _, _, p in report.pairs]
+            beams = coarse_sweep(h, tx_cb, rx_cb, 0.0, keep, np.random.default_rng(4))
+            assert len(beams) == len(set(beams)) == min(keep, 6)
+            powers = list(best[beams])
             assert powers == sorted(powers, reverse=True)
+
+    def test_is_the_pipelines_phase_one(self, monkeypatch):
+        # On the same noisy oracle stream, the pipeline's phase-2 snapshots
+        # go out along exactly the beams coarse_sweep returns, in order.
+        cfg = EstimationConfig(l_ma=128, l_sm=16, keep=5)
+        h = assemble_channel(MACRO, SMALL, separated_paths(17, 4))
+        probed = []
+        snapshot = ChannelOracle.snapshot
+
+        def recording(self, beam, n_chains, receive=True):
+            if receive:
+                probed.append(beam)
+            return snapshot(self, beam, n_chains, receive)
+
+        monkeypatch.setattr(ChannelOracle, "snapshot", recording)
+        estimate_channel(ChannelOracle(h, 0.01, np.random.default_rng(18)), MACRO, SMALL, cfg)
+        tx_cb, rx_cb = dft_codebook(MACRO, cfg.l_ma), dft_codebook(SMALL, cfg.l_sm)
+        beams = coarse_sweep(h, tx_cb, rx_cb, 0.01, cfg.keep, np.random.default_rng(18))
+        assert len(probed) == len(beams) == cfg.keep
+        for beam, index in zip(probed, beams):
+            assert np.array_equal(beam, tx_cb.beams[:, index])
 
 
 class TestArraySnapshot:

@@ -19,6 +19,8 @@ from mmwave_backhaul import (
     sample_paths,
     user_capacity,
 )
+from mmwave_backhaul import simulation
+from mmwave_backhaul.factorization import FactorizeOptions
 from mmwave_backhaul.simulation import _build_link, _sum_capacity, _UserChannel
 
 REFERENCE = dict(n_ma=512, n_sm=32, k_users=4, n_bb_ma=16, n_bb_sm=4)
@@ -181,6 +183,23 @@ class TestRunScenario:
         for row in wf.rows:
             other = eq_map[(row.scheme, row.snr_db, row.trial)]
             assert row.capacity_bpcu >= other - 1e-9
+
+    @pytest.mark.parametrize("k_factor_db", [0.0, 10.0])
+    def test_waterfilling_never_loses_with_shallow_factorization(self, monkeypatch, k_factor_db):
+        # Refined waterfilling starts from the better of equal and plain
+        # waterfilling on the design objective, and exact-CSI links design
+        # on the truth, so equal power cannot win however few iterations
+        # the users with more paths than streams get.
+        kwargs = dict(l_min=3, l_max=6, k_factor_db=k_factor_db,
+                      snr_grid_db=(0.0, 15.0, 30.0), trials=6)
+        deep = run_scenario(self.small_config(allocation="waterfilling", **kwargs))
+        monkeypatch.setattr(simulation, "_LINK_FACTORIZE_OPTS", FactorizeOptions(max_iterations=3))
+        wf = run_scenario(self.small_config(allocation="waterfilling", **kwargs))
+        eq = run_scenario(self.small_config(allocation="equal", **kwargs))
+        assert wf.rows != deep.rows  # the shallow options took effect
+        eq_map = {(r.scheme, r.snr_db, r.trial): r.capacity_bpcu for r in eq.rows}
+        for row in wf.rows:
+            assert eq_map[(row.scheme, row.snr_db, row.trial)] - row.capacity_bpcu <= 0.0
 
     def test_single_mode_high_snr_closed_form(self):
         cfg = ScenarioConfig(
