@@ -30,7 +30,8 @@ from .precoding import factored_svd
 from .simulation import (
     CapacityResult,
     ScenarioConfig,
-    _hybrid_precoder,
+    _LINK_FACTORIZE_OPTS,
+    _hybrid_factors,
     _UserChannel,
     derive_rng,
     observation_noise_var,
@@ -148,35 +149,42 @@ def cmd_estimate_demo(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    # The precoder targets a hybrid link factorizes: each user's
-    # min(n_bb_sm, rank) singular vectors from its paths.
+    # The targets a hybrid link factorizes: each user's precoder and
+    # combiner from its min(n_bb_sm, rank) singular vectors.
     scenarios = _load_scenarios(args)
     cfg = scenarios[0]
     out_dir = _prepare_out(args)
     tx_geom, rx_geom = cfg.macro_geometry(), cfg.small_geometry()
     dist = cfg.path_distribution()
-    residuals = []
-    iterations = []
-    streams = closed_form = 0
+    precoders, combiners, closed_form = [], [], []
+    streams = 0
     for trial in range(cfg.trials):
         rng = derive_rng(cfg.master_seed, trial, 0)
         for _ in range(cfg.k_users):
             user = _UserChannel.from_paths(tx_geom, rx_geom, sample_paths(dist, rng))
             decomposition = factored_svd(user.a_tx, user.coeffs, user.a_rx, cfg.n_bb_sm)
-            result, exact = _hybrid_precoder(user, decomposition)
-            closed_form += exact
-            residuals.append(result.residual)
-            iterations.append(result.iterations_used)
+            precoder, combiner, exact = _hybrid_factors(user, decomposition)
+            precoders.append(precoder)
+            combiners.append(combiner)
+            closed_form.append(exact)
             streams += decomposition.rank_used
-    residuals = np.asarray(residuals)
-    print(f"targets factorized: {residuals.size} "
-          f"({streams} streams of {cfg.n_ma} elements, at most {cfg.n_bb_sm} per target)")
-    print(f"closed form:        {closed_form} (every path a stream), "
-          f"iterated: {residuals.size - closed_form}")
-    print(f"relative residual:  min {residuals.min():.4f}  "
-          f"mean {residuals.mean():.4f}  max {residuals.max():.4f}")
-    print(f"iterations:         min {min(iterations)}  max {max(iterations)}")
-    print(f"residual <= 0.1:    {np.mean(residuals <= 0.1) * 100:.1f}%")
+    iterated = ~np.asarray(closed_form)
+    cap = _LINK_FACTORIZE_OPTS.max_iterations
+    print(f"targets factorized: {iterated.size} per kind, a precoder and a combiner per user "
+          f"({streams} streams, at most {cfg.n_bb_sm} per user)")
+    print(f"closed form:        {iterated.size - iterated.sum()} users (every path a stream), "
+          f"iterated: {iterated.sum()}")
+    for kind, n_elements, results in (("precoders", cfg.n_ma, precoders),
+                                       ("combiners", cfg.n_sm, combiners)):
+        residuals = np.array([r.residual for r in results])
+        iterations = np.array([r.iterations_used for r in results])[iterated]
+        median = f"{np.median(iterations):g}" if iterations.size else "-"
+        print(f"{kind} ({n_elements} elements):")
+        print(f"  relative residual:  min {residuals.min():.4f}  "
+              f"mean {residuals.mean():.4f}  max {residuals.max():.4f}")
+        print(f"  residual <= 0.1:    {np.mean(residuals <= 0.1) * 100:.1f}%")
+        print(f"  iterated targets:   median {median} iterations, "
+              f"{np.sum(iterations >= cap)} at max_iterations ({cap})")
     write_manifest(out_dir, _config_bytes(args, scenarios), cfg.master_seed, [])
     return 0
 

@@ -66,15 +66,17 @@ ALLOCATIONS = ("waterfilling", "equal")
 _DEFAULT_SNR_GRID = tuple(float(s) for s in range(-10, 35, 5))
 _GAIN_FLOOR = np.finfo(float).tiny
 
-# The link builder iterates the constant-modulus factorization much deeper
-# than the standalone defaults.  Users whose every path is a stream start
-# from their steering matrices and stop after two exact steps, so only
-# users with more paths than streams iterate; there, deeper iteration
-# lowers the inter-stream leakage of the hybrid design.  Waterfilling
-# never loses to equal power on an exact-CSI link at any depth: the
-# refinement starts from the better of the two on the design objective,
-# and such links design on the truth.
-_LINK_FACTORIZE_OPTS = FactorizeOptions(max_iterations=600, stall_tolerance=1e-12)
+# The link lets the constant-modulus factorization run to 600 steps, six
+# times the standalone cap, under the same stopping rule: it ends once the
+# best residual has stopped falling (see factorization).  Users whose
+# every path is a stream start from their steering matrices and stop at
+# the first, exact step.  The others mostly stop within 100 steps; the
+# deeper cap serves the combiners whose best residual still falls slowly,
+# which lowers the inter-stream leakage of the hybrid design.
+# Waterfilling never loses to equal power on an exact-CSI link at any
+# depth: the refinement starts from the better of the two on the design
+# objective, and such links design on the truth.
+_LINK_FACTORIZE_OPTS = FactorizeOptions(max_iterations=600)
 
 
 @dataclass(frozen=True)
@@ -296,18 +298,20 @@ class _Link:
         return [slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
 
-def _hybrid_precoder(user: _UserChannel, svd: TruncatedSvd):
-    """One user's precoder in a hybrid link, and whether it is closed form.
+def _hybrid_factors(user: _UserChannel, svd: TruncatedSvd):
+    """One user's precoder and combiner in a hybrid link, and whether they are closed form.
 
     ``svd`` holds the user's kept singular triplets.  When every path is a
     stream, the kept subspaces are spanned by the paths' array responses,
-    which already have the analog stage's constant modulus, so the
-    factorization starts from them and is exact at once (closed form).
+    which already have the analog stage's constant modulus, so both
+    factorizations start from them and are exact at once (closed form).
     """
     closed_form = svd.rank_used == user.coeffs.size
     precoder = factorize(svd.left.conj().T, _LINK_FACTORIZE_OPTS,
                          start=user.a_tx.conj().T if closed_form else None)
-    return precoder, closed_form
+    combiner = factorize_combiner(svd.right, _LINK_FACTORIZE_OPTS,
+                                  start=user.a_rx if closed_form else None)
+    return precoder, combiner, closed_form
 
 
 def _build_link(design, truth, max_streams, noise_var, factorized) -> _Link:
@@ -319,9 +323,7 @@ def _build_link(design, truth, max_streams, noise_var, factorized) -> _Link:
     if factorized:
         precs, combiners = [], []
         for c, s in zip(design, svds):
-            prec, closed_form = _hybrid_precoder(c, s)
-            comb = factorize_combiner(s.right, _LINK_FACTORIZE_OPTS,
-                                      start=c.a_rx if closed_form else None)
+            prec, comb, _ = _hybrid_factors(c, s)
             precs.append(prec)
             combiners.append(comb.analog @ comb.digital)
         p_tilde_d = _block_diag([p.digital for p in precs])

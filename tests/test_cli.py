@@ -336,6 +336,11 @@ class TestCliEndToEnd:
         assert proc.returncode == 0, proc.stderr
         assert "relative residual" in proc.stdout
         assert "closed form:" in proc.stdout
+        assert "precoders (64 elements):" in proc.stdout
+        assert "combiners (8 elements):" in proc.stdout
+        assert proc.stdout.count("relative residual") == 2
+        assert proc.stdout.count("at max_iterations (600)") == 2
+        assert proc.stdout.count("iterated targets:   median ") == 2
 
     def test_factorize_uses_config_trials(self, tmp_path):
         cfg = self.write_config(tmp_path)  # trials: 2, k_users: 2

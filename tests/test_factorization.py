@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from mmwave_backhaul import (
     steering_matrix,
     truncated_svd,
 )
+from mmwave_backhaul.factorization import _refit_digital, _refresh_shadow
 from mmwave_backhaul.simulation import _LINK_FACTORIZE_OPTS
 
 
@@ -47,6 +49,19 @@ def first_iterate_residual(target, modulus):
     analog = phase_project(target, modulus)
     digital = target @ np.linalg.pinv(analog)
     return np.linalg.norm(target - digital @ analog) / np.linalg.norm(target)
+
+
+def residual_trajectory(target, steps):
+    """Relative residual after each of ``steps`` iterations, with no stopping rule."""
+    target_norm = np.linalg.norm(target)
+    modulus = 1.0 / np.sqrt(target.shape[1])
+    shadow, residuals = target, []
+    for _ in range(steps):
+        analog = phase_project(shadow, modulus)
+        digital = _refit_digital(target, analog)
+        residuals.append(np.linalg.norm(target - digital @ analog) / target_norm)
+        shadow = _refresh_shadow(digital, target)
+    return np.array(residuals)
 
 
 def rank_deficient_targets():
@@ -122,11 +137,14 @@ class TestFactorize:
         assert np.max(deviation) <= 1e-15
 
     def test_returned_iterate_no_worse_than_first(self):
-        rng = np.random.default_rng(5)
-        for seed in range(10):
-            target = (np.random.default_rng(seed).standard_normal((3, 24))
-                      + 1j * np.random.default_rng(seed + 100).standard_normal((3, 24)))
-            result = factorize(target)
+        targets = [np.random.default_rng(seed).standard_normal((3, 24))
+                   + 1j * np.random.default_rng(seed + 100).standard_normal((3, 24))
+                   for seed in range(10)]
+        # The link's iterated combiners, which overshoot and oscillate.
+        targets += [path_svd(512, 32, n_paths, 4, seed=seed)[2].right.conj().T
+                    for n_paths, seed in [(5, 273), (6, 99), (6, 16), (5, 25)]]
+        for target, opts in itertools.product(targets, [None, _LINK_FACTORIZE_OPTS]):
+            result = factorize(target, opts)
             modulus = result.modulus
             first_analog = phase_project(target, modulus)
             first_digital = target @ np.linalg.pinv(first_analog)
@@ -162,8 +180,9 @@ class TestFactorize:
         precoder_target(512, 32, 5, 4, seed=14),
         combiner_target(512, 32, 2, 4, seed=15),
         combiner_target(512, 32, 5, 4, seed=16),
-        # Its analog stage drifts toward rank deficiency over the 600
-        # iterations, so most late steps must take the pseudoinverse.
+        # Its analog stage drifts toward rank deficiency while the best
+        # residual still falls (about 370 steps at the link options), so
+        # most late steps must take the pseudoinverse.
         combiner_target(512, 32, 3, 4, seed=51),
     ], ids=["precoder_2_paths", "precoder_5_paths", "combiner_2_paths", "combiner_5_paths",
             "combiner_ill_conditioned"])
@@ -219,6 +238,34 @@ class TestFactorize:
             for new, old in pairs:
                 assert new.iterations_used == old.iterations_used
                 assert abs(new.residual - old.residual) <= 1e-9 * old.residual
+
+    @pytest.mark.parametrize("n_paths, seed", [(6, 16), (5, 25)])
+    def test_plateaued_oscillating_combiner_stops_early(self, n_paths, seed):
+        # The raw residual of these combiners oscillates for hundreds of
+        # steps after the best has settled, so a step-to-step stall test
+        # never fires and the old rule ran them to the 600-step cap.
+        target = path_svd(512, 32, n_paths, 4, seed=seed)[2].right.conj().T
+        deep = residual_trajectory(target, 600)
+        assert np.sum(np.diff(deep[100:]) > 0) >= 100
+        result = factorize(target, _LINK_FACTORIZE_OPTS)
+        assert result.iterations_used <= 150
+        # Within 0.1% of the best residual that 600 steps reach.
+        assert result.residual <= deep.min() * (1 + 1e-3)
+
+    @pytest.mark.parametrize("n_paths, seed, overshoot", [(5, 273, 12), (6, 99, 3)])
+    def test_overshooting_combiner_does_not_stop_in_the_window(self, n_paths, seed, overshoot):
+        # The residual rises above its best and stays there for
+        # ``overshoot`` steps before falling far below it; a window of
+        # one would stop at the first rise, and the 12-step case
+        # outlasts a window of ten.
+        target = path_svd(512, 32, n_paths, 4, seed=seed)[2].right.conj().T
+        deep = residual_trajectory(target, 60)
+        rise = int(np.argmax(np.diff(deep) > 0)) + 1
+        before = deep[:rise].min()
+        assert np.all(deep[rise:rise + overshoot] >= before)
+        result = factorize(target, _LINK_FACTORIZE_OPTS)
+        assert result.iterations_used > rise + overshoot
+        assert result.residual <= 0.7 * before
 
     def test_start_none_is_the_target(self):
         target = precoder_target(64, 16, 3, 3, seed=7)
