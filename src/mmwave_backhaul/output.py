@@ -3,7 +3,8 @@
 CSV output is byte-stable: fixed column order, 12 significant digits,
 rows pre-sorted, LF newlines.  Every CLI run writes a manifest holding
 a digest of the exact config it ran so a later re-parse can detect
-drift.
+drift, and the environment the numbers came from: the Python and numpy
+versions and the BLAS thread variables.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import datetime
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+import platform
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .simulation import CapacityResult
 
@@ -28,6 +32,9 @@ __all__ = [
 
 CAPACITY_COLUMNS = "scheme,allocation,snr_db,k_factor_db,trial,capacity_bpcu"
 PROFILE_COLUMNS = "l,index,mean_energy"
+
+# The last digits of some capacities follow the BLAS thread count.
+_THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -47,6 +54,12 @@ class RunManifest:
     master_seed: int
     timestamp: str
     outputs: list
+    # The run's environment; manifests written without it load with these
+    # defaults.  ``thread_env`` maps each of _THREAD_ENV_VARS to its value,
+    # or to None when it was unset.
+    python_version: str = ""
+    numpy_version: str = ""
+    thread_env: dict = field(default_factory=dict)
 
 
 def _fmt(value: float) -> str:
@@ -86,6 +99,9 @@ def write_manifest(out_dir, config_bytes: bytes, master_seed: int, outputs) -> s
         master_seed=int(master_seed),
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         outputs=[os.path.basename(os.fspath(p)) for p in outputs],
+        python_version=platform.python_version(),
+        numpy_version=np.__version__,
+        thread_env={name: os.environ.get(name) for name in _THREAD_ENV_VARS},
     )
     path = os.path.join(os.fspath(out_dir), "manifest.json")
     with open(path, "w", encoding="utf-8") as handle:

@@ -17,6 +17,14 @@ covariance, computed once when the link is built, and one evaluator,
 :func:`user_capacity`, gives every capacity from them; capacity always
 includes the residual inter-stream interference.
 
+A built link is scored over the whole SNR grid at once.
+:func:`user_capacity` takes a stack of power vectors, one per budget,
+and evaluates it with one batched Cholesky factorization, solve and
+eigendecomposition, each row bit for bit its value alone.  The
+waterfilling refinement runs every budget in lockstep: each pass
+computes only for the budgets still improving, and a budget drops out
+at its first pass that does not improve.
+
 SNR is defined as total transmit budget over the (unit) noise variance;
 channels have unit mean path power, so the axes are self-consistent.
 """
@@ -224,7 +232,7 @@ def observation_noise_var(cfg: ScenarioConfig) -> float:
     return (1.0 / cfg.path_loss) / 10.0 ** (cfg.estimation.snr_db / 10.0)
 
 
-def user_capacity(w: np.ndarray, own: slice, powers: np.ndarray) -> float:
+def user_capacity(w: np.ndarray, own: slice, powers: np.ndarray) -> float | np.ndarray:
     """Capacity in bpcu of one user's streams, the other streams as interference.
 
     ``w`` (r x S) maps all S streams into the user's r combined outputs,
@@ -233,19 +241,24 @@ def user_capacity(w: np.ndarray, own: slice, powers: np.ndarray) -> float:
     and ``powers`` holds the S per-stream transmit powers.  With the
     interference-plus-noise covariance ``I + W P_-k W^H = M M^H``, the
     capacity is ``log2 det(I + M^-1 W_k P_k W_k^H M^-H)``.
+
+    A (B x S) ``powers`` stacks B power vectors and gives an array of B
+    capacities from one batched pass; each equals, bit for bit, the
+    ``float`` that its row alone gives.
     """
+    stack = np.atleast_2d(powers)
     r = w.shape[0]
-    others = _others(powers, own)
-    chol = np.linalg.cholesky(np.eye(r) + (w * others) @ w.conj().T)
-    half = np.linalg.solve(chol, w[:, own] * np.sqrt(powers[own]))
-    eigs = np.linalg.eigvalsh(np.eye(r) + half @ half.conj().T)
-    return float(np.sum(np.log2(np.maximum(eigs, 1.0))))
+    chol = np.linalg.cholesky(np.eye(r) + (w * _others(stack, own)[:, None, :]) @ w.conj().T)
+    half = np.linalg.solve(chol, w[:, own] * np.sqrt(stack[:, None, own]))
+    eigs = np.linalg.eigvalsh(np.eye(r) + half @ half.conj().swapaxes(1, 2))
+    capacities = np.sum(np.log2(np.maximum(eigs, 1.0)), axis=1)
+    return float(capacities[0]) if np.ndim(powers) == 1 else capacities
 
 
 def _others(powers, own):
-    # The powers of every stream but the user's own.
+    # The powers of every stream but the user's own, per power vector.
     others = powers.copy()
-    others[own] = 0.0
+    others[..., own] = 0.0
     return others
 
 
@@ -372,45 +385,57 @@ def _build_link(design, truth, max_streams, noise_var, factorized) -> _Link:
                  offsets=offsets, coupling_cond=cond)
 
 
-def _sum_capacity(link: _Link, blocks: list, powers: np.ndarray) -> float:
+def _sum_capacity(link: _Link, blocks: list, powers: np.ndarray) -> np.ndarray:
+    # One sum capacity per row of the (B x S) powers.
     return sum(user_capacity(w, own, powers) for own, w in zip(link.streams, blocks))
 
 
-def _refined_waterfilling(link: _Link, budget: float) -> np.ndarray:
-    # Waterfilling with interference-aware refinement.  Candidates are
-    # evaluated on the design-side capacity (all the transmitter knows);
-    # starting from the better of {equal split, plain waterfilling} and
-    # accepting only improvements guarantees the result never falls below
-    # the equal allocation on that objective.
-    candidates = [
-        allocate_power(link.design_gains, budget, "equal"),
-        allocate_power(link.design_gains, budget, "waterfilling"),
-    ]
-    values = [_sum_capacity(link, link.w_design, p) for p in candidates]
-    best = int(np.argmax(values))
-    best_powers, best_value = candidates[best], values[best]
-    current = best_powers
+def _refined_waterfilling(link: _Link, budgets: np.ndarray):
+    # Waterfilling with interference-aware refinement, at every budget.
+    # Candidates are evaluated on the design-side capacity (all the
+    # transmitter knows); starting from the better of {equal split, plain
+    # waterfilling} and accepting only improvements guarantees the result
+    # never falls below the equal allocation on that objective.  The
+    # budgets refine in lockstep: a budget leaves at its first pass that
+    # does not improve, and later passes compute only for those left.
+    # Returns the powers (B x S) and their design-side sum capacities.
+    gains = link.design_gains
+    candidates = np.array([
+        [allocate_power(gains, b, "equal") for b in budgets],
+        [allocate_power(gains, b, "waterfilling") for b in budgets],
+    ])
+    values = _sum_capacity(link, link.w_design, candidates.reshape(-1, gains.size)).reshape(2, -1)
+    best = np.argmax(values, axis=0)  # ties keep the equal split
+    every = np.arange(len(budgets))
+    best_powers, best_values = candidates[best, every], values[best, every]
+    active, current = every, best_powers
     for _ in range(3):
         # Effective per-stream gains with the current interference treated
-        # as extra (whitened) noise.
-        inflation = np.empty(link.design_gains.size)
+        # as extra (whitened) noise: one matrix-vector product per budget,
+        # so each row rounds as a lone budget would.
+        inflation = np.empty(current.shape)
         for own, w in zip(link.streams, link.w_design):
-            inflation[own] = 1.0 + np.abs(w) ** 2 @ _others(current, own)
-        effective = np.maximum(link.design_gains / inflation, _GAIN_FLOOR)
-        current = allocate_power(effective, budget, "waterfilling")
+            inflation[:, own] = 1.0 + (np.abs(w) ** 2 @ _others(current, own)[:, :, None])[..., 0]
+        effective = np.maximum(gains / inflation, _GAIN_FLOOR)
+        current = np.array([allocate_power(e, budgets[i], "waterfilling")
+                            for e, i in zip(effective, active)])
         value = _sum_capacity(link, link.w_design, current)
-        if value > best_value:
-            best_powers, best_value = current, value
-        else:
+        improved = value > best_values[active]
+        active, current = active[improved], current[improved]
+        best_powers[active], best_values[active] = current, value[improved]
+        if not active.size:
             break
-    return best_powers
+    return best_powers, best_values
 
 
-def _link_capacity(link: _Link, budget: float, allocation: str) -> float:
+def _link_capacities(link: _Link, budgets: np.ndarray, allocation: str) -> np.ndarray:
+    """Sum capacity of a link on the truth at every budget of the grid."""
     if allocation == "waterfilling":
-        powers = _refined_waterfilling(link, budget)
+        powers, design_values = _refined_waterfilling(link, budgets)
+        if link.w_design is link.w_true:
+            return design_values  # exact CSI: the design objective is the truth
     else:
-        powers = allocate_power(link.design_gains, budget, allocation)
+        powers = np.array([allocate_power(link.design_gains, b, allocation) for b in budgets])
     return _sum_capacity(link, link.w_true, powers)
 
 
@@ -434,7 +459,39 @@ def full_digital_baseline(channels, snr_db: float, allocation: str = "waterfilli
     users = [_UserChannel.from_matrix(h) for h in channels]
     link = _build_link(users, users, n_rx, noise_var, factorized=False)
     budget = noise_var * 10.0 ** (snr_db / 10.0)
-    return _link_capacity(link, budget, allocation)
+    return float(_link_capacities(link, np.array([budget]), allocation)[0])
+
+
+def _trial_links(cfg: ScenarioConfig, trial: int) -> dict:
+    """Every enabled scheme's link on one trial's channel draw, by scheme."""
+    tx_geom = cfg.macro_geometry()
+    rx_geom = cfg.small_geometry()
+    dist = cfg.path_distribution()
+    channel_rng = derive_rng(cfg.master_seed, trial, 0)
+    paths = [sample_paths(dist, channel_rng) for _ in range(cfg.k_users)]
+    truth = [_UserChannel.from_paths(tx_geom, rx_geom, p) for p in paths]
+
+    links = {}
+    if "hybrid_ideal" in cfg.schemes:
+        links["hybrid_ideal"] = _build_link(
+            truth, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
+        )
+    if "hybrid_estimated" in cfg.schemes:
+        est_rng = derive_rng(cfg.master_seed, trial, 1)
+        noise = observation_noise_var(cfg)
+        estimates = []
+        for p in paths:
+            oracle = ChannelOracle(assemble_channel(tx_geom, rx_geom, p), noise, est_rng)
+            report = estimate_channel(oracle, tx_geom, rx_geom, cfg.estimation)
+            estimates.append(_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths))
+        links["hybrid_estimated"] = _build_link(
+            estimates, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
+        )
+    if "full_digital" in cfg.schemes:
+        links["full_digital"] = _build_link(
+            truth, truth, cfg.n_sm, cfg.noise_var, factorized=False
+        )
+    return links
 
 
 def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
@@ -447,46 +504,15 @@ def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
     one row per (scheme, snr, trial).  Identical configs produce
     identical results regardless of execution order.
     """
-    tx_geom = cfg.macro_geometry()
-    rx_geom = cfg.small_geometry()
-    dist = cfg.path_distribution()
-    budgets = {snr: cfg.noise_var * 10.0 ** (snr / 10.0) for snr in cfg.snr_grid_db}
-
+    budgets = np.array([cfg.noise_var * 10.0 ** (snr / 10.0) for snr in cfg.snr_grid_db])
     rows = []
     for trial in range(cfg.trials):
-        channel_rng = derive_rng(cfg.master_seed, trial, 0)
-        paths = [sample_paths(dist, channel_rng) for _ in range(cfg.k_users)]
-        truth = [_UserChannel.from_paths(tx_geom, rx_geom, p) for p in paths]
-
-        links = {}
-        if "hybrid_ideal" in cfg.schemes:
-            links["hybrid_ideal"] = _build_link(
-                truth, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
+        for scheme, link in _trial_links(cfg, trial).items():
+            capacities = _link_capacities(link, budgets, cfg.allocation)
+            rows.extend(
+                CapacityRow(scheme=scheme, allocation=cfg.allocation, snr_db=snr,
+                            k_factor_db=cfg.k_factor_db, trial=trial,
+                            capacity_bpcu=float(capacity))
+                for snr, capacity in zip(cfg.snr_grid_db, capacities)
             )
-        if "hybrid_estimated" in cfg.schemes:
-            est_rng = derive_rng(cfg.master_seed, trial, 1)
-            noise = observation_noise_var(cfg)
-            estimates = []
-            for p in paths:
-                oracle = ChannelOracle(assemble_channel(tx_geom, rx_geom, p), noise, est_rng)
-                report = estimate_channel(oracle, tx_geom, rx_geom, cfg.estimation)
-                estimates.append(_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths))
-            links["hybrid_estimated"] = _build_link(
-                estimates, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
-            )
-        if "full_digital" in cfg.schemes:
-            links["full_digital"] = _build_link(
-                truth, truth, cfg.n_sm, cfg.noise_var, factorized=False
-            )
-
-        for scheme, link in links.items():
-            for snr in cfg.snr_grid_db:
-                rows.append(CapacityRow(
-                    scheme=scheme,
-                    allocation=cfg.allocation,
-                    snr_db=snr,
-                    k_factor_db=cfg.k_factor_db,
-                    trial=trial,
-                    capacity_bpcu=_link_capacity(link, budgets[snr], cfg.allocation),
-                ))
     return CapacityResult(rows=rows)

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -243,6 +244,24 @@ class TestManifest:
         assert manifest.outputs == ["capacity.csv"]
         assert manifest_matches(manifest, config_bytes)
         assert not manifest_matches(manifest, config_bytes + b"\n# edited")
+
+    def test_environment_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        path = write_manifest(tmp_path, MINIMAL.encode(), 7, [tmp_path / "capacity.csv"])
+        manifest = read_manifest(path)
+        assert manifest.python_version == platform.python_version()
+        assert manifest.numpy_version == np.__version__
+        assert manifest.thread_env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+
+    def test_manifest_without_environment_loads(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config_digest": config_digest(b""), "tool_version": "0.1.0",
+                                    "master_seed": 7, "timestamp": "", "outputs": []}))
+        manifest = read_manifest(path)
+        assert manifest.python_version == manifest.numpy_version == ""
+        assert manifest.thread_env == {}
+        assert manifest_matches(manifest, b"")
 
     def test_digest_is_sha256(self):
         assert config_digest(b"abc") == (

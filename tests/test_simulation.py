@@ -21,7 +21,13 @@ from mmwave_backhaul import (
 )
 from mmwave_backhaul import simulation
 from mmwave_backhaul.factorization import FactorizeOptions
-from mmwave_backhaul.simulation import _build_link, _sum_capacity, _UserChannel
+from mmwave_backhaul.simulation import (
+    _build_link,
+    _link_capacities,
+    _sum_capacity,
+    _trial_links,
+    _UserChannel,
+)
 
 REFERENCE = dict(n_ma=512, n_sm=32, k_users=4, n_bb_ma=16, n_bb_sm=4)
 
@@ -81,6 +87,22 @@ class TestUserCapacity:
                           - np.linalg.slogdet(noise + (rows * others) @ rows.conj().T)[1])
             total += user_capacity(_whiten(noise, rows), own, powers)
         assert total == pytest.approx(reference / np.log(2), rel=1e-10)
+
+
+    @pytest.mark.parametrize("own", [slice(1, 3), slice(2, 3), slice(0, 4)],
+                             ids=["two_streams", "one_stream", "every_stream"])
+    def test_stacked_rows_match_row_calls_exactly(self, own):
+        rng = np.random.default_rng(93)
+        r = own.stop - own.start
+        w = rng.standard_normal((r, 4)) + 1j * rng.standard_normal((r, 4))
+        stack = rng.uniform(0.0, 5.0, (5, 4))
+        stack[2] = 0.0  # a zero-power row
+        stacked = user_capacity(w, own, stack)
+        rows = [user_capacity(w, own, p) for p in stack]
+        assert all(type(c) is float for c in rows)
+        assert stacked.shape == (5,)
+        assert np.array_equal(stacked, rows)
+        assert stacked[2] == 0.0
 
 
 class TestScenarioValidation:
@@ -228,6 +250,68 @@ class TestRunScenario:
         gaps = np.asarray(gaps)
         stderr = gaps.std(ddof=1) / np.sqrt(gaps.size)
         assert gaps.mean() >= -stderr
+
+
+def _scalar_capacity(link, budget, allocation):
+    """One budget at a time with one power vector per call: the reference.
+
+    Returns the true sum capacity and how many waterfilling refinement
+    passes improved on the design objective before the first that did not.
+    """
+    def total(blocks, powers):
+        return sum(user_capacity(w, own, powers) for own, w in zip(link.streams, blocks))
+
+    gains = link.design_gains
+    if allocation == "equal":
+        return total(link.w_true, allocate_power(gains, budget, "equal")), 0
+    candidates = [allocate_power(gains, budget, s) for s in ("equal", "waterfilling")]
+    values = [total(link.w_design, p) for p in candidates]
+    best = int(np.argmax(values))
+    powers, best_value = candidates[best], values[best]
+    current, passes = powers, 0
+    for _ in range(3):
+        inflation = np.empty(gains.size)
+        for own, w in zip(link.streams, link.w_design):
+            others = current.copy()
+            others[own] = 0.0
+            inflation[own] = 1.0 + np.abs(w) ** 2 @ others
+        effective = np.maximum(gains / inflation, np.finfo(float).tiny)
+        current = allocate_power(effective, budget, "waterfilling")
+        value = total(link.w_design, current)
+        if not value > best_value:
+            break
+        powers, best_value, passes = current, value, passes + 1
+    return total(link.w_true, powers), passes
+
+
+class TestGridEvaluator:
+    """The whole SNR grid in one stacked pass equals one budget at a time."""
+
+    @pytest.fixture(scope="class")
+    def links(self):
+        # On this draw the hybrid links' budgets leave the refinement after
+        # 0 to 3 improving passes, so the lockstep masking is exercised.
+        cfg = ScenarioConfig(
+            n_ma=64, n_sm=16, k_users=2, n_bb_ma=8, n_bb_sm=4, trials=1, master_seed=0,
+            estimation=EstimationConfig(l_ma=64, l_sm=16, keep=4, snr_db=20.0),
+            schemes=("hybrid_ideal", "hybrid_estimated", "full_digital"),
+        )
+        budgets = np.array([10.0 ** (snr / 10.0) for snr in cfg.snr_grid_db])
+        return budgets, _trial_links(cfg, 0)
+
+    @pytest.mark.parametrize("allocation", ["waterfilling", "equal"])
+    @pytest.mark.parametrize("scheme", ["hybrid_ideal", "hybrid_estimated", "full_digital"])
+    def test_grid_matches_scalar_reference(self, links, scheme, allocation):
+        budgets, by_scheme = links
+        link = by_scheme[scheme]
+        reference = [_scalar_capacity(link, b, allocation) for b in budgets]
+        grid = _link_capacities(link, budgets, allocation)
+        assert np.array_equal(grid, [capacity for capacity, _ in reference])
+        passes = {n for _, n in reference}
+        if allocation == "waterfilling" and scheme != "full_digital":
+            assert len(passes) > 1  # budgets leave the lockstep at different passes
+        for budget, capacity in zip(budgets, grid):
+            assert _link_capacities(link, np.array([budget]), allocation)[0] == capacity
 
 
 class TestFullDigitalBaseline:
