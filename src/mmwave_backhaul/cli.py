@@ -144,6 +144,11 @@ def cmd_estimate_demo(args) -> int:
     print(f"training slots:    {report.training_slots_used} "
           f"(sweep {report.slots_phase1}, arrival {report.slots_phase2}, "
           f"departure {report.slots_phase3})")
+    steps = [k for k in report.lanczos_steps_phase3 if k]
+    mean_steps = f"{np.mean(steps):.1f}" if steps else "-"
+    print(f"departure pencils: {len(report.lanczos_steps_phase3)} "
+          f"(mean Lanczos steps {mean_steps}, dense SVD fallbacks "
+          f"{len(report.lanczos_steps_phase3) - len(steps)})")
     write_manifest(out_dir, _config_bytes(args, scenarios), cfg.master_seed, [])
     return 0
 

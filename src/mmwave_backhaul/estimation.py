@@ -52,12 +52,15 @@ class LineSpectrum:
     ``frequencies`` are normalized spatial frequencies in [-0.5, 0.5);
     ``coefficients`` are the amplitudes against the unit-norm basis
     ``exp(2j*pi*f*m)/sqrt(N)``; ``residual`` is the remaining snapshot
-    energy outside the model.
+    energy outside the model.  ``lanczos_steps`` is the depth of the
+    Lanczos run that gave the leading singular triplets, 0 when the
+    dense SVD was taken.
     """
 
     frequencies: np.ndarray
     coefficients: np.ndarray
     residual: float = 0.0
+    lanczos_steps: int = 0
 
     def __post_init__(self):
         self.frequencies = np.atleast_1d(np.asarray(self.frequencies, dtype=float))
@@ -115,7 +118,11 @@ class EstimationConfig:
 
 @dataclass
 class EstimationReport:
-    """Everything the pipeline learned about one channel."""
+    """Everything the pipeline learned about one channel.
+
+    ``lanczos_steps_phase3`` holds the ``LineSpectrum.lanczos_steps`` of
+    each phase-3 snapshot, in probing order (0 where the dense SVD ran).
+    """
 
     aoas: np.ndarray            # merged arrival angles, strongest first
     aods: np.ndarray            # merged departure angles, strongest first
@@ -126,6 +133,7 @@ class EstimationReport:
     slots_phase1: int = 0
     slots_phase2: int = 0
     slots_phase3: int = 0
+    lanczos_steps_phase3: tuple = ()
 
     @property
     def training_slots_used(self) -> int:
@@ -270,54 +278,104 @@ _KRYLOV_PER_ORDER = 4
 # Relative size below which a Lanczos vector counts as zero: the Krylov
 # space is then invariant and its singular values are exact.
 _BREAKDOWN_TOL = 1e-14
+# A Lanczos run stops before its full depth once its Ritz values decide
+# the pencil's order and every kept triplet's residual bound is at most
+# this times the largest Ritz value.
+_CONVERGED_TOL = 1e-10
+# Steps between two checks of that rule; each check is one small SVD.
+_CHECK_EVERY = 4
 
 
-def _leading_left_singular(hankel: np.ndarray, max_order: int, rank_threshold: float):
-    """Leading singular values and left singular vectors of ``hankel``.
+def _decided_order(s, bounds, max_order: int, rank_threshold: float):
+    # Ritz values only underestimate the singular values, so they fix the
+    # pencil's order when max_order of them reach the cut (rank_threshold
+    # times the largest), or when the first one below the cut lies below
+    # it by more than its residual bound.  Returns that order, or None.
+    cut = rank_threshold * s[0]
+    count = int(np.sum(s >= cut))
+    if count >= max_order:
+        return max_order
+    if count < s.size and s[count] + bounds[count] < cut:
+        return count
+    return None
 
-    A Golub-Kahan-Lanczos run of depth ``_KRYLOV_PER_ORDER * max_order``
-    gives the leading triplets.  Its Ritz values can only underestimate
-    the singular values, so the pencil's order (the count at or above
-    ``rank_threshold`` times the largest, capped at ``max_order``) is
-    taken from them only when the first Ritz value below that cut lies
-    below it by more than its residual bound; otherwise, and when the
-    depth covers the whole matrix, the dense SVD is taken.  Returns
-    ``(sigmas, left)``, descending; a zero matrix gives ``sigmas[0] == 0``.
+
+def _leading_left_singular(x: np.ndarray, rows: int, max_order: int, rank_threshold: float):
+    """Leading singular values and left singular vectors of the Hankel of ``x``.
+
+    The Hankel matrix has ``rows`` rows, ``x.size - rows + 1`` columns
+    and entries ``x[i + k]``.  A Golub-Kahan-Lanczos run of depth at
+    most ``_KRYLOV_PER_ORDER * max_order`` gives the leading triplets;
+    the pencil's order (the count at or above ``rank_threshold`` times
+    the largest, capped at ``max_order``) is taken from them only when
+    ``_decided_order`` fixes it.  Otherwise, and when the depth covers the
+    whole matrix, the Hankel is built and its dense SVD taken.  Returns
+    ``(sigmas, left, lanczos_steps)``, descending, with ``lanczos_steps``
+    0 for the dense SVD; a zero matrix gives ``sigmas[0] == 0``.
     """
+    cols = x.size - rows + 1
     depth = _KRYLOV_PER_ORDER * max_order
-    if depth < min(hankel.shape):
-        s, u, bounds = _golub_kahan_lanczos(hankel, depth)
-        cut = rank_threshold * s[0]
-        count = int(np.sum(s >= cut))
-        if count >= min(max_order, s.size) or s[count] + bounds[count] < cut:
-            return s, u
+    if depth < min(rows, cols):
+        s, u, bounds = _golub_kahan_lanczos(x, rows, depth, max_order, rank_threshold)
+        if _decided_order(s, bounds, min(max_order, s.size), rank_threshold) is not None:
+            return s, u, s.size
+    hankel = x[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
     u, s, _ = np.linalg.svd(hankel, full_matrices=False)
-    return s, u
+    return s, u, 0
 
 
-def _golub_kahan_lanczos(hankel: np.ndarray, depth: int):
-    """Ritz triplets of ``hankel`` from ``depth`` bidiagonalization steps.
+def _ritz_triplets(alphas, betas, tail: float):
+    # The k x (k+1) upper bidiagonal of the alphas and betas, its SVD
+    # P S Q^H, and each triplet's residual bound: the next alpha times
+    # the last entry of its right vector.
+    k = len(alphas)
+    bidiagonal = np.zeros((k, k + 1))
+    bidiagonal[np.arange(k), np.arange(k)] = alphas
+    bidiagonal[np.arange(k), np.arange(1, k + 1)] = betas
+    p, s, qh = np.linalg.svd(bidiagonal, full_matrices=False)
+    return s, p, tail * np.abs(qh[:, k])
+
+
+def _correlate(spectrum: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    # First `size` entries of sum_k y[i + k] v[k], circular over the length
+    # of y, where `spectrum` is fft(y) and v is zero-padded to that length.
+    return np.fft.ifft(spectrum * np.fft.ifft(v, spectrum.size, norm="forward"))[:size]
+
+
+def _golub_kahan_lanczos(x: np.ndarray, rows: int, depth: int, max_order: int,
+                         rank_threshold: float):
+    """Ritz triplets of the Hankel of ``x`` from at most ``depth`` bidiagonalization steps.
+
+    The Hankel ``H[i, k] = x[i + k]`` (``rows`` rows) is never formed:
+    ``H @ v`` is the first ``rows`` entries of the circular correlation
+    of ``x`` with ``v`` over ``x.size`` samples, and ``H^H @ u`` the
+    first ``cols`` of the correlation of ``conj(x)`` with ``u``.
+    Neither wraps, since ``rows + cols - 1 == x.size``, so each is one
+    FFT pair against spectra taken once per call (Browne, Qiao & Wei
+    2009).
 
     Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
-    runs from the fixed start vector ``conj(hankel[0])``
-    (``conj(hankel[-1])`` if the first row is zero), so nothing is drawn
-    from a random stream.  With ``U_k`` the left Lanczos vectors,
-    ``U_k^H hankel`` is the k x (k+1) upper bidiagonal of the alphas and
-    betas times the right Lanczos vectors, and its small SVD ``P S Q^H``
-    gives the Ritz triplets ``(S, U_k P)``.  Each one's residual norm is
-    the next alpha times the last entry of its right vector.  The
-    iteration stops early when a new vector vanishes (an exactly
-    low-rank matrix), where the Ritz values are exact.  Returns
+    runs from the fixed start vector ``conj(H[0])`` (``conj(H[-1])`` if
+    the first row is zero), so nothing is drawn from a random stream.
+    With ``U_k`` the left Lanczos vectors, ``U_k^H H`` is the k x (k+1)
+    upper bidiagonal of the alphas and betas times the right Lanczos
+    vectors, and its small SVD ``P S Q^H`` gives the Ritz triplets
+    ``(S, U_k P)``.  The iteration stops when a new vector vanishes (an
+    exactly low-rank matrix), where the Ritz values are exact.  Every
+    ``_CHECK_EVERY`` steps, right after the next alpha, it also stops
+    when the Ritz values decide the pencil's order and every kept
+    triplet's bound is at most ``_CONVERGED_TOL`` times the largest:
+    the result is then exactly that of a run of that depth.  Returns
     ``(sigmas, left, residual_bounds)``, descending; a zero matrix gives
     ``sigmas[0] == 0``.
     """
-    rows, cols = hankel.shape
+    cols = x.size - rows + 1
     zero = np.zeros(1), np.zeros((rows, 1), dtype=complex), np.zeros(1)
-    start = hankel[0] if np.any(hankel[0]) else hankel[-1]
+    start = x[:cols] if np.any(x[:cols]) else x[rows - 1:]
     start_norm = np.linalg.norm(start)
     if start_norm == 0:
         return zero
-    adjoint = hankel.conj().T.copy()
+    spectrum, conj_spectrum = np.fft.fft(x), np.fft.fft(x.conj())
     # Lanczos vectors are stored as rows, so every product is contiguous.
     left = np.empty((depth, rows), dtype=complex)
     right = np.empty((depth + 1, cols), dtype=complex)
@@ -325,7 +383,7 @@ def _golub_kahan_lanczos(hankel: np.ndarray, depth: int):
     alphas, betas = [], []
     scale = tail = 0.0
     for j in range(depth + 1):
-        w = hankel @ right[j]
+        w = _correlate(spectrum, right[j], rows)
         if j:
             w -= betas[-1] * left[j - 1]
             w -= (left[:j] @ w.conj()).conj() @ left[:j]
@@ -334,37 +392,40 @@ def _golub_kahan_lanczos(hankel: np.ndarray, depth: int):
         if j == depth or alpha <= _BREAKDOWN_TOL * scale:
             tail = alpha
             break
+        if j and j % _CHECK_EVERY == 0:
+            s, p, bounds = _ritz_triplets(alphas, betas, alpha)
+            kept = _decided_order(s, bounds, max_order, rank_threshold)
+            if kept is not None and np.max(bounds[:kept]) <= _CONVERGED_TOL * s[0]:
+                return s, left[:j].T @ p, bounds
         left[j] = w / alpha
         alphas.append(alpha)
-        z = adjoint @ left[j] - alpha * right[j]
+        z = _correlate(conj_spectrum, left[j], cols) - alpha * right[j]
         z -= (right[:j + 1] @ z.conj()).conj() @ right[:j + 1]
         beta = np.linalg.norm(z)
         betas.append(beta)
         if beta <= _BREAKDOWN_TOL * scale:
             break
         right[j + 1] = z / beta
-    k = len(alphas)
-    if k == 0:
+    if not alphas:
         return zero
-    bidiagonal = np.zeros((k, k + 1))
-    bidiagonal[np.arange(k), np.arange(k)] = alphas
-    bidiagonal[np.arange(k), np.arange(1, k + 1)] = betas
-    p, s, qh = np.linalg.svd(bidiagonal, full_matrices=False)
-    return s, left[:k].T @ p, tail * np.abs(qh[:, k])
+    s, p, bounds = _ritz_triplets(alphas, betas, tail)
+    return s, left[:len(alphas)].T @ p, bounds
 
 
 def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> LineSpectrum:
     """Fit a sum of complex exponentials to one snapshot (matrix pencil).
 
-    A Hankel matrix with pencil parameter ``len(snapshot) // 2`` is
-    built from the snapshot; the model order is the number of its
+    The snapshot defines a Hankel matrix with pencil parameter
+    ``len(snapshot) // 2``; the model order is the number of its
     singular values at or above ``rank_threshold`` times the largest,
     capped at ``max_order``.  Only the leading singular triplets are
-    computed, by a Golub-Kahan-Lanczos bidiagonalization of depth
-    ``_KRYLOV_PER_ORDER * max_order`` (Golub & Kahan 1965); the dense
-    SVD is taken instead when that depth covers the whole Hankel, as
-    for a 32-element snapshot, or when a Ritz value lies too close to
-    the order's cut to decide it.  Frequencies come from the
+    computed, by a Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan
+    1965) that applies the Hankel by FFT and runs at most
+    ``_KRYLOV_PER_ORDER * max_order`` steps, fewer once its kept
+    triplets have converged.  The Hankel is built and its dense SVD
+    taken instead when that depth covers the whole matrix, as for a
+    32-element snapshot, or when a Ritz value lies too close to the
+    order's cut to decide it.  Frequencies come from the
     shift-invariance eigenvalue problem on the leading left singular
     vectors (Hua & Sarkar 1990), and amplitudes from least squares
     against the snapshot.  For a noiseless sum of at most
@@ -386,14 +447,14 @@ def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> L
         raise ValueError(f"max_order must be <= {pencil} for a length-{n} snapshot")
 
     rows = n - pencil
-    hankel = x[np.arange(rows)[:, None] + np.arange(pencil + 1)[None, :]]
-    s, u = _leading_left_singular(hankel, max_order, rank_threshold)
+    s, u, steps = _leading_left_singular(x, rows, max_order, rank_threshold)
     if s[0] == 0:
         return LineSpectrum(np.empty(0), np.empty(0, dtype=complex), residual=0.0)
     order = int(np.sum(s >= rank_threshold * s[0]))
     order = min(order, max_order, rows - 1)
     if order == 0:
-        return LineSpectrum(np.empty(0), np.empty(0, dtype=complex), residual=float(np.linalg.norm(x)))
+        return LineSpectrum(np.empty(0), np.empty(0, dtype=complex), residual=float(np.linalg.norm(x)),
+                            lanczos_steps=steps)
 
     subspace = u[:, :order]
     shift = np.linalg.pinv(subspace[:-1]) @ subspace[1:]
@@ -409,7 +470,8 @@ def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> L
     basis = np.exp(2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)
     coefs, *_ = np.linalg.lstsq(basis, x, rcond=None)
     residual = float(np.linalg.norm(x - basis @ coefs))
-    return LineSpectrum(frequencies=freqs, coefficients=coefs, residual=residual)
+    return LineSpectrum(frequencies=freqs, coefficients=coefs, residual=residual,
+                        lanczos_steps=steps)
 
 
 # Relative cut on the gain fit's singular values: when two estimated
@@ -535,13 +597,14 @@ def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry
     receiver and ``geom`` is the transmit array, whose snapshot is the
     conjugate of the oracle's.  The pencil's order is capped at
     ``min(max_paths, n // 2)`` and detections merge within ``merge_tol``
-    (default ``0.25 / n``).  Returns ``(snapshots, angles, slots)`` with
-    the snapshots as the oracle returned them.
+    (default ``0.25 / n``).  Returns ``(snapshots, angles, slots,
+    lanczos_steps)`` with the snapshots as the oracle returned them and
+    each pencil's ``lanczos_steps``.
     """
     n = geom.n_elements
     order = min(cfg.max_paths, n // 2)
     tol = cfg.merge_tol if cfg.merge_tol is not None else 0.25 / n
-    snapshots, detections, slots = [], [], 0
+    snapshots, detections, slots, steps = [], [], 0, []
     for beam in beams:
         snapshot, used = oracle.snapshot(beam, n_chains, receive)
         slots += used
@@ -549,11 +612,12 @@ def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry
                                           cfg.rank_threshold)
         detections.extend(zip(spectrum.frequencies, np.abs(spectrum.coefficients)))
         snapshots.append(snapshot)
+        steps.append(spectrum.lanczos_steps)
     freqs = _merge_frequencies(detections, tol, cfg.max_paths, cfg.rank_threshold)
     if freqs.size == 0:
         side = "arrival" if receive else "departure"
         raise EstimationFailedError(f"no {side} directions detected")
-    return snapshots, _freq_to_angle(freqs, geom.spacing), slots
+    return snapshots, _freq_to_angle(freqs, geom.spacing), slots, tuple(steps)
 
 
 def estimate_channel(
@@ -583,9 +647,11 @@ def estimate_channel(
     rx_cb = dft_codebook(rx_geom, cfg.l_sm)
     beams = _strongest_tx_beams(oracle, tx_cb, rx_cb, cfg.keep)
     tx_beams = [tx_cb.beams[:, i] for i in beams]
-    rx_snaps, aoas, slots_phase2 = _directions(oracle, tx_beams, True, rx_geom, cfg.n_bb_sm, cfg)
+    rx_snaps, aoas, slots_phase2, _ = _directions(oracle, tx_beams, True, rx_geom, cfg.n_bb_sm,
+                                                  cfg)
     back_beams = [steering_vector(rx_geom, aoa) for aoa in aoas]
-    tx_snaps, aods, slots_phase3 = _directions(oracle, back_beams, False, tx_geom, cfg.n_bb_ma, cfg)
+    tx_snaps, aods, slots_phase3, steps_phase3 = _directions(oracle, back_beams, False, tx_geom,
+                                                             cfg.n_bb_ma, cfg)
 
     # Phase-3 snapshots enter the fit unconjugated: they are back_beam^H h^H.
     measurements = [(beam, None, snap.reshape(n_rx, 1)) for beam, snap in zip(tx_beams, rx_snaps)]
@@ -609,4 +675,5 @@ def estimate_channel(
         slots_phase1=cfg.l_ma * cfg.l_sm,
         slots_phase2=slots_phase2,
         slots_phase3=slots_phase3,
+        lanczos_steps_phase3=steps_phase3,
     )

@@ -33,6 +33,7 @@ from mmwave_backhaul import (
     truncated_svd,
 )
 from mmwave_backhaul.precoding import allocate_power, equivalent_channel
+from subprocess_env import child_env
 
 MACRO = ArrayGeometry(512)
 SMALL = ArrayGeometry(32)
@@ -256,7 +257,7 @@ def test_criterion_7_cli_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "mmwave_backhaul", "capacity-sweep",
              "--preset", "fig5", "--seed", "42", "--trials", "10", "--out", str(out)],
-            capture_output=True, text=True, timeout=1800,
+            capture_output=True, text=True, timeout=1800, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "capacity.csv").read_bytes())

@@ -1,5 +1,4 @@
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -29,6 +28,7 @@ from mmwave_backhaul import (
 from mmwave_backhaul import cli
 from mmwave_backhaul.config import parse_config_text, preset_scenarios, render_config
 from mmwave_backhaul.output import config_digest, write_manifest
+from subprocess_env import child_env
 
 MINIMAL = """\
 n_ma: 64
@@ -275,7 +275,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         timeout=600,
-        env=None if env is None else {**os.environ, **env},
+        env=child_env(env),
     )
 
 

@@ -20,6 +20,7 @@ from mmwave_backhaul import (
     steering_matrix,
     steering_vector,
 )
+from mmwave_backhaul import estimation
 
 MACRO = ArrayGeometry(512)
 SMALL = ArrayGeometry(32)
@@ -317,15 +318,13 @@ class TestTruncatedPencil:
         snap = snap + 0.0027 * (rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n))
         order, dense_freqs, _ = self.dense_reference(snap, 8, 1e-2)
         spec = line_spectrum_estimate(snap, 8, 1e-2)
+        assert spec.lanczos_steps == 0
         assert spec.order == order == 7
         np.testing.assert_allclose(np.sort(spec.frequencies), dense_freqs, atol=1e-12)
 
-    def test_noisy_snapshots_match_dense_svd(self):
+    def noisy_snapshots(self):
         # Phase-3 transmit-array snapshots at 20 dB, one per true arrival
-        # direction; the pencil's order must equal the dense SVD's, and its
-        # frequencies must agree wherever the kept subspace is well
-        # separated from the next singular value.
-        compared = 0
+        # direction of 8 channel draws (34 snapshots).
         for trial in range(8):
             rng = np.random.default_rng([40, trial])
             paths = sample_paths(PathDistribution(2, 6), rng)
@@ -333,14 +332,89 @@ class TestTruncatedPencil:
             oracle = ChannelOracle(h, 0.01, np.random.default_rng([41, trial]))
             for aoa in paths.aoas:
                 raw, _ = oracle.snapshot(steering_vector(SMALL, aoa), 16, receive=False)
-                snap = raw.conj()
-                spec = line_spectrum_estimate(snap, 8, 1e-2)
-                order, freqs, gap = self.dense_reference(snap, 8, 1e-2)
-                assert spec.order == order
-                if gap < 0.9:
-                    np.testing.assert_allclose(np.sort(spec.frequencies), freqs, atol=1e-8)
-                    compared += 1
+                yield raw.conj()
+
+    def test_noisy_snapshots_match_dense_svd(self):
+        # The pencil's order must equal the dense SVD's, and its
+        # frequencies must agree wherever the kept subspace is well
+        # separated from the next singular value.  Most runs stop before
+        # their 32-step depth.
+        compared, steps = 0, []
+        for snap in self.noisy_snapshots():
+            spec = line_spectrum_estimate(snap, 8, 1e-2)
+            order, freqs, gap = self.dense_reference(snap, 8, 1e-2)
+            assert spec.order == order
+            steps.append(spec.lanczos_steps)
+            if gap < 0.9:
+                np.testing.assert_allclose(np.sort(spec.frequencies), freqs, atol=1e-8)
+                compared += 1
         assert compared >= 10
+        assert 0 not in steps
+        assert sum(k < 32 for k in steps) >= 0.6 * len(steps)
+
+    def test_early_stop_is_the_run_of_that_depth(self, monkeypatch):
+        # A run that stops at depth k returns bit for bit what a run
+        # capped at k steps, with the stopping rule off, returns.
+        stopped = []
+        for snap in self.noisy_snapshots():
+            s, u, bounds = estimation._golub_kahan_lanczos(snap, 256, 32, 8, 1e-2)
+            if s.size < 32:
+                stopped.append((snap, s, u, bounds))
+        assert len(stopped) >= 20
+        assert {s.size for _, s, _, _ in stopped} >= {8, 12}
+        monkeypatch.setattr(estimation, "_CONVERGED_TOL", -1.0)
+        for snap, s, u, bounds in stopped:
+            capped = estimation._golub_kahan_lanczos(snap, 256, s.size, 8, 1e-2)
+            for got, want in zip(capped, (s, u, bounds)):
+                assert np.array_equal(got, want)
+        # With the rule off every run takes its full depth.
+        assert estimation._golub_kahan_lanczos(stopped[0][0], 256, 32, 8, 1e-2)[0].size == 32
+
+    @pytest.mark.parametrize("n", [512, 513, 64, 31])
+    def test_fft_products_match_dense_hankel(self, n):
+        # H @ v and H^H @ u by FFT, for the pencil's row count at even and
+        # odd lengths, against the dense Hankel H[i, k] = x[i + k].
+        rng = np.random.default_rng([9, n])
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rows = n - n // 2
+        cols = n - rows + 1
+        hankel = x[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
+        v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
+        u = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        forward = estimation._correlate(np.fft.fft(x), v, rows)
+        adjoint = estimation._correlate(np.fft.fft(x.conj()), u, cols)
+        assert forward.shape == (rows,) and adjoint.shape == (cols,)
+        expected = hankel @ v, hankel.conj().T @ u
+        for got, want in zip((forward, adjoint), expected):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_lanczos_start_and_breakdown_match_dense_svd(self, n):
+        # Zero first Hankel row (the run starts from the last row), and
+        # exactly rank-one and rank-two Hankels, where the run stops after
+        # one and two steps with exact Ritz values.
+        pencil = n // 2
+        rows = n - pencil
+        m = np.arange(n)
+        tones = (np.exp(2j * np.pi * 0.3 * m), np.exp(2j * np.pi * -0.2 * m))
+        tail = (tones[0] + 0.5j * tones[1]) * (m > pencil)
+        cases = [(tail, None), (0.4 * tones[1], 1), (0.4 * tones[1] + 1j * tones[0], 2)]
+        for snap, rank in cases:
+            hankel = snap[np.arange(rows)[:, None] + np.arange(pencil + 1)[None, :]]
+            dense = np.linalg.svd(hankel, compute_uv=False)
+            s, u, bounds = estimation._golub_kahan_lanczos(snap, rows, 32, 8, 1e-2)
+            if rank is None:
+                assert not np.any(hankel[0])
+                assert s[0] > 0
+            else:
+                assert s.size == rank
+                assert np.max(bounds) <= 1e-12 * s[0]
+            k = min(s.size, 2)
+            np.testing.assert_allclose(s[:k], dense[:k], rtol=1e-12)
+            # The left Ritz vectors are orthonormal singular vectors.
+            np.testing.assert_allclose(u[:, :k].conj().T @ u[:, :k], np.eye(k), atol=1e-12)
+            np.testing.assert_allclose(np.linalg.norm(hankel.conj().T @ u[:, :k], axis=0),
+                                       s[:k], rtol=1e-10)
 
 
 class TestEstimateGains:
@@ -434,6 +508,10 @@ class TestEstimateChannel:
         assert report.training_slots_used == (
             report.slots_phase1 + report.slots_phase2 + report.slots_phase3
         )
+        # One pencil per departure-phase snapshot; the noiseless n=512
+        # pencils take the Lanczos path.
+        assert len(report.lanczos_steps_phase3) == report.aoas.size
+        assert all(0 < k <= 32 for k in report.lanczos_steps_phase3)
 
     def test_paired_paths_bounded(self):
         paths = separated_paths(13, 4)
