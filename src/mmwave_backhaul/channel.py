@@ -5,10 +5,11 @@ each carrying a complex gain, a departure angle at the transmit array
 and an arrival angle at the receive array.  Because the path count is
 small compared to the antenna counts, the resulting matrix is low rank,
 which is what the precoding and estimation stages exploit.  The rank
-profile uses that structure directly: with thin QR factorizations
-``A_tx = Q_tx R_tx`` and ``A_rx = Q_rx R_rx`` of the steering matrices,
-the channel's non-zero singular values are those of the at most L x L
-core ``R_tx diag(gains) R_rx^H``, so no full-size matrix is assembled.
+profile uses that structure directly: the Gram matrix ``A^H A`` of a
+ULA's steering vectors has a closed form, the Dirichlet kernel (array
+factor), so the channel's non-zero squared singular values are the
+eigenvalues of an L x L matrix built from the two Grams and the gains,
+and neither a steering matrix nor the full-size channel is formed.
 
 All randomness flows through explicit ``numpy.random.Generator``
 instances so that Monte Carlo trials can own independent substreams.
@@ -34,6 +35,10 @@ __all__ = [
 
 # A channel matrix is a plain complex ndarray of shape (n_tx, n_rx).
 ChannelMatrix = np.ndarray
+
+# Draws per stacked pass of singular_energy_profile; memory is
+# O(_PROFILE_CHUNK * L**2) whatever the trial count.
+_PROFILE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,26 @@ def assemble_channel(tx: ArrayGeometry, rx: ArrayGeometry, paths: PathSet) -> Ch
     return scale * ((a_tx * paths.gains) @ a_rx.conj().T)
 
 
+def _steering_gram(geom: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
+    """Gram matrices ``A^H A`` of the steering matrices, in closed form.
+
+    ``angles`` has shape (..., L); the result has shape (..., L, L) with
+    ``G[i, j] = a_i^H a_j = exp(1j*(N-1)*x) * sin(N*x) / (N*sin(x))`` and
+    ``x = pi * spacing * (sin(angles[j]) - sin(angles[i]))``.  Where
+    ``N*sin(x)`` is 0 the ratio takes its limit ``cos(N*x) / cos(x)``,
+    so the diagonal and entries of equal sines are exactly 1; at a
+    grating lobe the entry is 1 up to rounding.
+    """
+    n = geom.n_elements
+    sines = np.sin(angles)
+    x = np.pi * geom.spacing * (sines[..., None, :] - sines[..., :, None])
+    den = n * np.sin(x)
+    limit = den == 0
+    ratio = (np.where(limit, np.cos(n * x), np.sin(n * x))
+             / np.where(limit, np.cos(x), den))
+    return np.exp(1j * (n - 1) * x) * ratio
+
+
 def singular_energy_profile(
     tx: ArrayGeometry,
     rx: ArrayGeometry,
@@ -177,24 +202,36 @@ def singular_energy_profile(
     sums to 1.
 
     Each draw comes from ``sample_paths`` (the same random stream as
-    assembling the channel), but its singular values come from the core
-    ``(R_tx * gains) @ R_rx^H`` of R-only thin QRs of ``A_tx(aods)`` and
-    ``A_rx(aoas)``: at most L x L, with the same singular values as the
-    channel up to the ``sqrt(n_tx*n_rx/path_loss)`` scale, which cancels
-    in the normalization.  A channel of L paths has rank at most L, so
-    every entry from index L on is exactly 0, not rounding noise, and
-    the result does not depend on the BLAS thread count of a full-size
-    SVD.
+    assembling the channel).  With ``H ~ A_tx D A_rx^H``, ``D`` the
+    diagonal of gains, the non-zero eigenvalues of ``H H^H`` are those
+    of the L x L matrix ``S (D G_rx D^H) S``, where ``G_tx`` and
+    ``G_rx`` are the closed-form steering Grams and ``S = G_tx^(1/2)``
+    (from ``eigh``, eigenvalues clipped at 0); the
+    ``n_tx*n_rx/path_loss`` scale cancels in the normalization.  Draws
+    are processed ``_PROFILE_CHUNK`` at a time as stacks of L x L
+    matrices, and their normalized energies are added in draw order, so
+    the chunk size does not change a bit.  Only the largest
+    ``min(L, n_tx, n_rx)`` eigenvalues are kept: a channel of L paths has
+    rank at most L, so every entry from index L on is exactly 0, not
+    rounding noise, and the result does not depend on the BLAS thread
+    count of a full-size SVD.
     """
     if dist.l_min != dist.l_max:
         raise ValueError("singular_energy_profile needs a fixed path count (l_min == l_max)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     profile = np.zeros(min(tx.n_elements, rx.n_elements))
-    for _ in range(trials):
-        paths = sample_paths(dist, rng)
-        r_tx = np.linalg.qr(steering_matrix(tx, paths.aods), mode="r")
-        r_rx = np.linalg.qr(steering_matrix(rx, paths.aoas), mode="r")
-        energy = np.linalg.svd((r_tx * paths.gains) @ r_rx.conj().T, compute_uv=False) ** 2
-        profile[:energy.size] += energy / energy.sum()
+    kept = min(dist.l_max, profile.size)
+    for start in range(0, trials, _PROFILE_CHUNK):
+        draws = [sample_paths(dist, rng) for _ in range(min(_PROFILE_CHUNK, trials - start))]
+        gains = np.array([p.gains for p in draws])
+        g_tx = _steering_gram(tx, np.array([p.aods for p in draws]))
+        g_rx = _steering_gram(rx, np.array([p.aoas for p in draws]))
+        w, v = np.linalg.eigh(g_tx)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        core = gains[:, :, None] * g_rx * gains.conj()[:, None, :]
+        energy = np.clip(np.linalg.eigvalsh(root @ core @ root)[:, ::-1][:, :kept], 0.0, None)
+        shares = energy / energy.sum(axis=1, keepdims=True)
+        # add.accumulate adds the draws one at a time, in draw order.
+        profile[:kept] = np.add.accumulate(np.vstack((profile[:kept], shares)))[-1]
     return profile / trials

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 import traceback
 
 import numpy as np
@@ -90,18 +91,22 @@ def cmd_rank_profile(args) -> int:
     cfg = scenarios[0]
     out_dir = _prepare_out(args)
     rows = []
+    stage_seconds = {}
     for n_paths in range(cfg.l_min, cfg.l_max + 1):
+        start = time.perf_counter()
         dist = PathDistribution(n_paths, n_paths, cfg.k_factor_db, cfg.path_loss)
         profile = singular_energy_profile(
             cfg.macro_geometry(), cfg.small_geometry(), dist, cfg.trials,
             derive_rng(cfg.master_seed, n_paths),
         )
+        stage_seconds[f"l={n_paths}"] = time.perf_counter() - start
         rows.extend((n_paths, i, e) for i, e in enumerate(profile))
         print(f"L={n_paths}: top-3 mean energy "
               + ", ".join(f"{e:.4f}" for e in profile[:3]))
     csv_path = os.path.join(out_dir, "rank_profile.csv")
     emit_csv(RankProfileTable(rows), csv_path)
-    write_manifest(out_dir, _config_bytes(args, scenarios), cfg.master_seed, [csv_path])
+    write_manifest(out_dir, _config_bytes(args, scenarios), cfg.master_seed, [csv_path],
+                   stage_seconds)
     print(f"wrote {csv_path}")
     return 0
 
@@ -110,15 +115,20 @@ def cmd_capacity_sweep(args) -> int:
     scenarios = _load_scenarios(args)
     out_dir = _prepare_out(args)
     rows = []
+    stage_seconds = {}
     for cfg in scenarios:
+        start = time.perf_counter()
         result = run_scenario(cfg)
+        stage = f"k_factor_db={cfg.k_factor_db:g},allocation={cfg.allocation}"
+        stage_seconds[stage] = time.perf_counter() - start
         rows.extend(result.rows)
         print(f"k_factor={cfg.k_factor_db:g} dB, allocation={cfg.allocation}: "
               f"{len(result.rows)} rows")
     result = CapacityResult(rows=rows)
     csv_path = os.path.join(out_dir, "capacity.csv")
     emit_csv(result, csv_path)
-    write_manifest(out_dir, _config_bytes(args, scenarios), scenarios[0].master_seed, [csv_path])
+    write_manifest(out_dir, _config_bytes(args, scenarios), scenarios[0].master_seed, [csv_path],
+                   stage_seconds)
     print(f"wrote {csv_path} ({len(result.rows)} rows)")
     return 0
 

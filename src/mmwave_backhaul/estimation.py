@@ -510,26 +510,29 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
     # Observation model: values[p, q] = scale * u_p^H X v_q with
     # u = A_rx^H rx, v = A_tx^H tx and X the conjugate transpose of the
     # coupling matrix; each scalar observation is one linear equation in
-    # the entries of X.
-    design_blocks = []
-    rhs_blocks = []
-    n_obs = 0
+    # the entries of X.  The blocks are written straight into one
+    # preallocated design, so it exists once before lstsq copies it.
+    projected = []
     for tx, rx, values in measurements:
         v = _project(a_tx, tx)          # (n_aod, a)
         u = _project(a_rx, rx)          # (n_aoa, b)
         values = np.asarray(values, dtype=complex).reshape(u.shape[1], v.shape[1])
-        block = scale * np.einsum("ip,jq->pqij", u.conj(), v).reshape(
-            values.size, n_aoa * n_aod
-        )
-        design_blocks.append(block)
-        rhs_blocks.append(values.ravel())
-        n_obs += values.size
+        projected.append((u, v, values))
+    n_obs = sum(values.size for _, _, values in projected)
     if n_obs < n_aod * n_aoa:
         raise InsufficientMeasurementsError(
             f"{n_obs} observations cannot determine {n_aod * n_aoa} coupling entries"
         )
-    design = np.vstack(design_blocks)
-    rhs = np.concatenate(rhs_blocks)
+    design = np.empty((n_obs, n_aoa * n_aod), dtype=complex)
+    rhs = np.empty(n_obs, dtype=complex)
+    start = 0
+    for u, v, values in projected:
+        rows = slice(start, start + values.size)
+        np.einsum("ip,jq->pqij", u.conj(), v,
+                  out=design[rows].reshape(*values.shape, n_aoa, n_aod))
+        design[rows] *= scale
+        rhs[rows] = values.ravel()
+        start += values.size
     solution, *_ = np.linalg.lstsq(design, rhs, rcond=_GAIN_FIT_RCOND)
     rhs_norm = np.linalg.norm(rhs)
     residual = float(np.linalg.norm(design @ solution - rhs) / rhs_norm) if rhs_norm > 0 else 0.0

@@ -3,8 +3,8 @@
 CSV output is byte-stable: fixed column order, 12 significant digits,
 rows pre-sorted, LF newlines.  Every CLI run writes a manifest holding
 a digest of the exact config it ran so a later re-parse can detect
-drift, and the environment the numbers came from: the Python and numpy
-versions and the BLAS thread variables.
+drift, the environment the numbers came from (the Python and numpy
+versions and the BLAS thread variables) and the wall time of each stage.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ class RunManifest:
     python_version: str = ""
     numpy_version: str = ""
     thread_env: dict = field(default_factory=dict)
+    # Wall seconds per stage of the run (a path count of rank-profile, a
+    # scenario of capacity-sweep); empty for commands without stages.
+    stage_seconds: dict = field(default_factory=dict)
 
 
 def _fmt(value: float) -> str:
@@ -89,7 +92,8 @@ def config_digest(config_bytes: bytes) -> str:
     return hashlib.sha256(config_bytes).hexdigest()
 
 
-def write_manifest(out_dir, config_bytes: bytes, master_seed: int, outputs) -> str:
+def write_manifest(out_dir, config_bytes: bytes, master_seed: int, outputs,
+                   stage_seconds=None) -> str:
     """Write manifest.json next to the outputs; returns its path."""
     from . import __version__
 
@@ -102,6 +106,7 @@ def write_manifest(out_dir, config_bytes: bytes, master_seed: int, outputs) -> s
         python_version=platform.python_version(),
         numpy_version=np.__version__,
         thread_env={name: os.environ.get(name) for name in _THREAD_ENV_VARS},
+        stage_seconds=dict(stage_seconds or {}),
     )
     path = os.path.join(os.fspath(out_dir), "manifest.json")
     with open(path, "w", encoding="utf-8") as handle:

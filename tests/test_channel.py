@@ -9,6 +9,7 @@ from mmwave_backhaul import (
     derive_rng,
     sample_paths,
     singular_energy_profile,
+    steering_matrix,
     steering_vector,
 )
 from mmwave_backhaul import channel
@@ -155,6 +156,31 @@ def assert_matches_dense(tx, rx, dist, trials, seed):
     return prof
 
 
+class TestSteeringGram:
+    @pytest.mark.parametrize("spacing", [0.3, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [4, 16, 32, 512])
+    def test_matches_dense_gram(self, n, spacing):
+        geom = ArrayGeometry(n, spacing)
+        theta = 0.7
+        # An exact collision, equal sines (theta and pi - theta), a grating
+        # lobe at spacing 1 (pi/2 against 0), then random angles.
+        angles = np.concatenate([[theta, theta, np.pi - theta, np.pi / 2, 0.0],
+                                 np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, 5)])
+        a = steering_matrix(geom, angles)
+        gram = channel._steering_gram(geom, angles)
+        np.testing.assert_allclose(gram, a.conj().T @ a, rtol=0, atol=1e-11)
+        assert np.all(np.diag(gram) == 1.0)
+        assert gram[0, 1] == gram[1, 0] == 1.0
+
+    def test_stacked_angles(self):
+        geom = ArrayGeometry(32)
+        angles = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (3, 4))
+        stacked = channel._steering_gram(geom, angles)
+        assert stacked.shape == (3, 4, 4)
+        for row, gram in zip(angles, stacked):
+            np.testing.assert_array_equal(gram, channel._steering_gram(geom, row))
+
+
 class TestSingularEnergyProfile:
     @pytest.mark.parametrize("n_paths", range(1, 7))
     def test_matches_dense_svd_fig2_arrays(self, n_paths):
@@ -211,6 +237,14 @@ class TestSingularEnergyProfile:
             [0.641481169815, 0.265165196518, 0.093353633666],
             atol=1e-6,
         )
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        tx, rx = ArrayGeometry(64), ArrayGeometry(16)
+        dist = PathDistribution(4, 4)
+        default = singular_energy_profile(tx, rx, dist, 20, np.random.default_rng(11))
+        monkeypatch.setattr(channel, "_PROFILE_CHUNK", 7)
+        chunked = singular_energy_profile(tx, rx, dist, 20, np.random.default_rng(11))
+        assert np.array_equal(chunked, default)
 
     def test_requires_fixed_path_count(self):
         tx, rx = ArrayGeometry(8), ArrayGeometry(4)

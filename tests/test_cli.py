@@ -261,7 +261,14 @@ class TestManifest:
         manifest = read_manifest(path)
         assert manifest.python_version == manifest.numpy_version == ""
         assert manifest.thread_env == {}
+        assert manifest.stage_seconds == {}
         assert manifest_matches(manifest, b"")
+
+    def test_stage_seconds_round_trip(self, tmp_path):
+        stages = {"l=1": 0.25, "l=2": 1.5}
+        path = write_manifest(tmp_path, MINIMAL.encode(), 7, [], stages)
+        assert read_manifest(path).stage_seconds == stages
+        assert read_manifest(write_manifest(tmp_path, b"", 7, [])).stage_seconds == {}
 
     def test_digest_is_sha256(self):
         assert config_digest(b"abc") == (
@@ -300,6 +307,9 @@ class TestCliEndToEnd:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["capacity.csv"]
         assert manifest["config_digest"] == config_digest(cfg.read_bytes())
+        [stage] = manifest["stage_seconds"]
+        assert stage.startswith("k_factor_db=")
+        assert manifest["stage_seconds"][stage] > 0
 
     def test_rank_profile_with_config(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -309,6 +319,9 @@ class TestCliEndToEnd:
         lines = (out / "rank_profile.csv").read_text().splitlines()
         assert lines[0] == "l,index,mean_energy"
         assert len(lines) == 1 + 2 * 8  # l in {1,2}, 8 singular indices
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["stage_seconds"]) == ["l=1", "l=2"]
+        assert all(s > 0 for s in manifest["stage_seconds"].values())
 
     def test_rank_profile_independent_of_blas_threads(self, tmp_path):
         outputs = []
