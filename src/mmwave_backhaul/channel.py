@@ -114,6 +114,16 @@ class PathDistribution:
             raise ValueError("need 1 <= l_min <= l_max")
         if self.path_loss <= 0:
             raise ValueError("path_loss must be positive")
+        if not 0.0 < _db_to_linear(self.k_factor_db) < np.inf:
+            raise ValueError("k_factor_db must give a finite, positive power ratio 10**(dB/10)")
+
+
+def _db_to_linear(value_db: float) -> float:
+    """``10**(value_db / 10)``, or inf where that overflows."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return np.inf
 
 
 def steering_vector(geom: ArrayGeometry, angle: float) -> np.ndarray:
@@ -146,7 +156,7 @@ def sample_paths(dist: PathDistribution, rng: np.random.Generator) -> PathSet:
     n_paths = int(rng.integers(dist.l_min, dist.l_max + 1))
     aods = rng.uniform(0.0, 2.0 * np.pi, n_paths)
     aoas = rng.uniform(0.0, 2.0 * np.pi, n_paths)
-    k_lin = 10.0 ** (dist.k_factor_db / 10.0)
+    k_lin = _db_to_linear(dist.k_factor_db)
     powers = np.full(n_paths, 1.0 / (k_lin + n_paths - 1))
     powers[0] = k_lin / (k_lin + n_paths - 1)
     scale = np.sqrt(powers / 2.0)

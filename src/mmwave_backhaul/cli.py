@@ -5,7 +5,7 @@ Subcommands, one per reproducible experiment:
 * ``rank-profile``    mean singular-energy profiles per path count
 * ``capacity-sweep``  Monte Carlo capacity rows over an SNR grid
 * ``estimate-demo``   one estimation run with diagnostics
-* ``factorize``       constant-modulus factorization residual report
+* ``factorize``       factorization report of the ``hybrid_ideal`` links
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/numerical error.
 With ``--debug`` a runtime error also prints its traceback.
@@ -22,20 +22,18 @@ import traceback
 
 import numpy as np
 
-from .channel import PathDistribution, assemble_channel, sample_paths, singular_energy_profile
+from .channel import PathDistribution, singular_energy_profile
 from .config import PRESET_NAMES, parse_config, preset_scenarios, render_config
 from .errors import ConfigError
-from .estimation import ChannelOracle, estimate_channel
 from .output import RankProfileTable, emit_csv, write_manifest
-from .precoding import factored_svd
 from .simulation import (
     CapacityResult,
     ScenarioConfig,
     _LINK_FACTORIZE_OPTS,
-    _hybrid_factors,
-    _UserChannel,
+    _trial_estimates,
+    _trial_links,
+    _trial_paths,
     derive_rng,
-    observation_noise_var,
     run_scenario,
 )
 
@@ -139,14 +137,10 @@ def cmd_estimate_demo(args) -> int:
     if cfg.estimation is None:
         raise ConfigError("estimate-demo needs an estimation section in the config")
     out_dir = _prepare_out(args)
-    tx_geom, rx_geom = cfg.macro_geometry(), cfg.small_geometry()
-    rng = derive_rng(cfg.master_seed, 0, 0)
-    paths = sample_paths(cfg.path_distribution(), rng)
-    h = assemble_channel(tx_geom, rx_geom, paths)
-    oracle = ChannelOracle(h, observation_noise_var(cfg), derive_rng(cfg.master_seed, 0, 1))
-    report = estimate_channel(oracle, tx_geom, rx_geom, cfg.estimation)
+    paths = _trial_paths(cfg, 0)[:1]  # trial 0's first user
+    h, report = next(_trial_estimates(cfg, 0, paths))
     nmse = np.linalg.norm(report.reconstruction - h) ** 2 / np.linalg.norm(h) ** 2
-    print(f"true paths:        {paths.n_paths}")
+    print(f"true paths:        {paths[0].n_paths}")
     print(f"estimated paths:   {report.paired_paths.n_paths} "
           f"(departures {report.aods.size}, arrivals {report.aoas.size})")
     print(f"channel NMSE:      {nmse:.3e}")
@@ -164,25 +158,14 @@ def cmd_estimate_demo(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    # The targets a hybrid link factorizes: each user's precoder and
-    # combiner from its min(n_bb_sm, rank) singular vectors.
+    # The factors of each trial's hybrid_ideal link: each user's precoder
+    # and combiner from its min(n_bb_sm, rank) singular vectors.
     scenarios = _load_scenarios(args)
-    cfg = scenarios[0]
+    cfg = dataclasses.replace(scenarios[0], schemes=("hybrid_ideal",))
     out_dir = _prepare_out(args)
-    tx_geom, rx_geom = cfg.macro_geometry(), cfg.small_geometry()
-    dist = cfg.path_distribution()
-    precoders, combiners, closed_form = [], [], []
-    streams = 0
-    for trial in range(cfg.trials):
-        rng = derive_rng(cfg.master_seed, trial, 0)
-        for _ in range(cfg.k_users):
-            user = _UserChannel.from_paths(tx_geom, rx_geom, sample_paths(dist, rng))
-            decomposition = factored_svd(user.a_tx, user.coeffs, user.a_rx, cfg.n_bb_sm)
-            precoder, combiner, exact = _hybrid_factors(user, decomposition)
-            precoders.append(precoder)
-            combiners.append(combiner)
-            closed_form.append(exact)
-            streams += decomposition.rank_used
+    links = [_trial_links(cfg, trial)["hybrid_ideal"] for trial in range(cfg.trials)]
+    precoders, combiners, closed_form = zip(*(f for link in links for f in link.factors))
+    streams = sum(link.offsets[-1] for link in links)
     iterated = ~np.asarray(closed_form)
     cap = _LINK_FACTORIZE_OPTS.max_iterations
     print(f"targets factorized: {iterated.size} per kind, a precoder and a combiner per user "

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ArrayGeometry, PathSet, assemble_channel, steering_matrix, steering_vector
+from .channel import ArrayGeometry, PathSet, _db_to_linear, assemble_channel, steering_matrix, steering_vector
 from .errors import EstimationFailedError, InsufficientMeasurementsError
 
 __all__ = [
@@ -114,6 +114,8 @@ class EstimationConfig:
             raise ValueError("merge_tol must be positive")
         if self.path_loss <= 0:
             raise ValueError("path_loss must be positive")
+        if not 0.0 < _db_to_linear(self.snr_db) < np.inf:
+            raise ValueError("snr_db must give a finite, positive power ratio 10**(dB/10)")
 
 
 @dataclass

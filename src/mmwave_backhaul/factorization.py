@@ -12,14 +12,15 @@ ill-conditioned (or, for a rank-deficient target, singular) to invert
 accurately.  The iteration is not provably monotone, so the best
 iterate seen is returned rather than the last.
 
-The iteration stops once the best residual has stopped falling: when
-over the last ``_STALL_WINDOW`` steps it fell by no more than the stall
-tolerance per step on average (an absolute change of the relative
-residual), or at once when it is within the tolerance of zero.  Judging
-the best over a window, not the raw residual from one step to the next,
-rides out the steps where the residual overshoots before it falls
-again, and ends the runs where the raw residual keeps oscillating about
-a best that no longer moves.
+The analog modulus is ``1/sqrt(N)`` for N elements; the digital refit
+absorbs any other scale.  The iteration stops once the best residual
+has stopped falling: when over the last ``_STALL_WINDOW`` steps it fell
+by no more than ``_STALL_TOLERANCE`` per step on average (an absolute
+change of the relative residual), or at once when it is within that
+tolerance of zero.  Judging the best over a window, not the raw
+residual from one step to the next, rides out the steps where the
+residual overshoots before it falls again, and ends the runs where the
+raw residual keeps oscillating about a best that no longer moves.
 
 The iteration normally starts from the target itself.  A caller that
 knows a constant-modulus matrix spanning the target's row space (the
@@ -46,24 +47,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FactorizeOptions:
-    """Iteration controls; ``modulus=None`` means 1/sqrt(n_columns).
-
-    ``stall_tolerance`` is the fall of the best relative residual per
-    step, averaged over ``_STALL_WINDOW`` steps, at or below which the
-    iteration counts as stalled (see :func:`factorize`).
-    """
+    """Iteration controls: the cap on the alternating steps."""
 
     max_iterations: int = 100
-    stall_tolerance: float = 1e-6
-    modulus: float | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.stall_tolerance <= 0:
-            raise ValueError("stall_tolerance must be positive")
-        if self.modulus is not None and self.modulus <= 0:
-            raise ValueError("modulus must be positive")
 
 
 @dataclass
@@ -112,14 +102,15 @@ def phase_project(m: np.ndarray, modulus: float) -> np.ndarray:
 # rare on the link (2 of 48646 refits over 120 fig5 draws).
 _MAX_COND = 1e4
 
-# Steps over which the best residual must fall by more than the stall
-# tolerance per step, on average, for the iteration to go on.  The link's
-# combiners can overshoot: the residual rises above its best for up to a
-# dozen steps before falling far below it.  A window of one stops at the
+# Steps over which the best residual must fall by more than
+# _STALL_TOLERANCE per step, on average, for the iteration to go on.  The
+# link's combiners can overshoot: the residual rises above its best for up
+# to a dozen steps before falling far below it.  A window of one stops at the
 # first rise (acceptance criterion 5's worst residual becomes 0.31, not
 # 0.015), and a window of ten still stops some link combiners at 0.24
 # where the iteration goes on to 0.027.
 _STALL_WINDOW = 20
+_STALL_TOLERANCE = 1e-6
 
 
 def _inverse(m: np.ndarray) -> np.ndarray | None:
@@ -150,15 +141,15 @@ def _refresh_shadow(digital: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
               start: np.ndarray | None = None) -> HybridPrecoder:
-    """Approximate ``target`` (R, N) by digital @ analog with |analog| constant.
+    """Approximate ``target`` (R, N) by digital @ analog with |analog| = 1/sqrt(N).
 
     Starts the phase-copy shadow at ``start`` (R, N), or at the target
     itself when ``start`` is None, alternates the three update steps,
     and records the relative residual ``||target - digital @ analog||_F
     / ||target||_F`` after each digital refit.  Stops at
     ``max_iterations``, or once the lowest relative residual so far is
-    at most ``stall_tolerance`` or has fallen by at most
-    ``_STALL_WINDOW * stall_tolerance`` (an absolute change) over the
+    at most ``_STALL_TOLERANCE`` or has fallen by at most
+    ``_STALL_WINDOW * _STALL_TOLERANCE`` (an absolute change) over the
     last ``_STALL_WINDOW`` steps; the lowest-residual iterate is
     returned.
 
@@ -179,7 +170,7 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
         raise ValueError("target must be nonzero")
 
     opts = opts or FactorizeOptions()
-    modulus = opts.modulus if opts.modulus is not None else 1.0 / np.sqrt(n_elements)
+    modulus = 1.0 / np.sqrt(n_elements)
 
     if start is None:
         shadow = target
@@ -199,10 +190,10 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
             best_digital, best_analog, best_residual = digital, analog, residual
         best_history.append(best_residual)
         # A best within the tolerance of zero cannot fall by more.
-        if best_residual <= opts.stall_tolerance or (
+        if best_residual <= _STALL_TOLERANCE or (
                 iterations > _STALL_WINDOW
                 and best_history[-_STALL_WINDOW - 1] - best_residual
-                <= _STALL_WINDOW * opts.stall_tolerance):
+                <= _STALL_WINDOW * _STALL_TOLERANCE):
             break
         shadow = _refresh_shadow(digital, target)
 

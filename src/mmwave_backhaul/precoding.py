@@ -76,10 +76,6 @@ class MuExactSet:
     sigma_stack: np.ndarray  # (K*R,)
 
     @property
-    def n_users(self) -> int:
-        return len(self.per_user)
-
-    @property
     def rank(self) -> int:
         return self.per_user[0].rank_used
 

@@ -11,7 +11,8 @@ budget is spread equally or by waterfilling (with a few
 interference-aware refinement passes, so the chosen allocation never
 falls below the equal split on the design-side capacity).  ``hybrid_*``
 schemes factorize the per-user precoders/combiners through the
-constant-modulus stage first; ``full_digital`` keeps the exact factors.
+constant-modulus stage first and keep them in ``_Link.factors``;
+``full_digital`` keeps the exact factors.
 Each link keeps every user's combined outputs whitened by its noise
 covariance, computed once when the link is built, and one evaluator,
 :func:`user_capacity`, gives every capacity from them; capacity always
@@ -24,6 +25,11 @@ eigendecomposition, each row bit for bit its value alone.  The
 waterfilling refinement runs every budget in lockstep: each pass
 computes only for the budgets still improving, and a budget drops out
 at its first pass that does not improve.
+
+This module alone decides a trial: :func:`_trial_paths` draws the users'
+paths from substream ``(trial, 0)``, :func:`_trial_estimates` estimates
+their channels with training noise from ``(trial, 1)``, and
+:func:`_trial_links` builds every scheme's link from them.
 
 SNR is defined as total transmit budget over the (unit) noise variance;
 channels have unit mean path power, so the axes are self-consistent.
@@ -40,6 +46,7 @@ from .channel import (
     ArrayGeometry,
     PathDistribution,
     PathSet,
+    _db_to_linear,
     assemble_channel,
     sample_paths,
     steering_matrix,
@@ -48,7 +55,6 @@ from .errors import ConfigValidationError
 from .estimation import ChannelOracle, EstimationConfig, estimate_channel
 from .factorization import FactorizeOptions, factorize, factorize_combiner
 from .precoding import (
-    TruncatedSvd,
     _block_diag,
     allocate_power,
     factored_svd,
@@ -142,6 +148,7 @@ class ScenarioConfig:
             raise ConfigValidationError("noise_var must be positive")
         if not self.snr_grid_db:
             raise ConfigValidationError("snr_grid_db must be a non-empty list")
+        self.budgets()  # each budget must be finite and positive
         if self.trials < 1:
             raise ConfigValidationError("trials must be >= 1")
         if not self.schemes:
@@ -178,6 +185,14 @@ class ScenarioConfig:
 
     def path_distribution(self) -> PathDistribution:
         return PathDistribution(self.l_min, self.l_max, self.k_factor_db, self.path_loss)
+
+    def budgets(self) -> np.ndarray:
+        """Transmit budget at each grid SNR; ConfigValidationError unless all are finite, > 0."""
+        budgets = np.array([self.noise_var * _db_to_linear(snr) for snr in self.snr_grid_db])
+        if not np.all((budgets > 0) & (budgets < np.inf)):
+            raise ConfigValidationError("snr_grid_db must give finite, positive transmit "
+                                        "budgets, the noise variance times 10**(dB/10)")
+        return budgets
 
 
 @dataclass(frozen=True)
@@ -229,7 +244,7 @@ def observation_noise_var(cfg: ScenarioConfig) -> float:
     """
     if cfg.estimation is None:
         raise ValueError("scenario has no estimation section")
-    return (1.0 / cfg.path_loss) / 10.0 ** (cfg.estimation.snr_db / 10.0)
+    return (1.0 / cfg.path_loss) / _db_to_linear(cfg.estimation.snr_db)
 
 
 def user_capacity(w: np.ndarray, own: slice, powers: np.ndarray) -> float | np.ndarray:
@@ -305,26 +320,11 @@ class _Link:
     design_gains: np.ndarray  # per-stream |gain|^2 / noise, from the design CSI
     offsets: np.ndarray       # user k's streams are offsets[k]:offsets[k+1]
     coupling_cond: float
+    factors: list             # per user (precoder, combiner, closed_form); [] if exact
 
     @property
     def streams(self) -> list:
         return [slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-
-
-def _hybrid_factors(user: _UserChannel, svd: TruncatedSvd):
-    """One user's precoder and combiner in a hybrid link, and whether they are closed form.
-
-    ``svd`` holds the user's kept singular triplets.  When every path is a
-    stream, the kept subspaces are spanned by the paths' array responses,
-    which already have the analog stage's constant modulus, so both
-    factorizations start from them and are exact at once (closed form).
-    """
-    closed_form = svd.rank_used == user.coeffs.size
-    precoder = factorize(svd.left.conj().T, _LINK_FACTORIZE_OPTS,
-                         start=user.a_tx.conj().T if closed_form else None)
-    combiner = factorize_combiner(svd.right, _LINK_FACTORIZE_OPTS,
-                                  start=user.a_rx if closed_form else None)
-    return precoder, combiner, closed_form
 
 
 def _build_link(design, truth, max_streams, noise_var, factorized) -> _Link:
@@ -333,14 +333,21 @@ def _build_link(design, truth, max_streams, noise_var, factorized) -> _Link:
     svds = [factored_svd(c.a_tx, c.coeffs, c.a_rx, max_streams) for c in design]
     offsets = np.cumsum([0] + [s.rank_used for s in svds])
     u_tilde = np.hstack([s.left for s in svds])
+    factors = []
     if factorized:
-        precs, combiners = [], []
+        # When every path is a stream, the kept subspaces are spanned by the
+        # paths' array responses, which already have the analog stage's
+        # constant modulus, so both factorizations start from them and are
+        # exact at once (closed form).
         for c, s in zip(design, svds):
-            prec, comb, _ = _hybrid_factors(c, s)
-            precs.append(prec)
-            combiners.append(comb.analog @ comb.digital)
-        p_tilde_d = _block_diag([p.digital for p in precs])
-        p_a = np.vstack([p.analog for p in precs])
+            exact = s.rank_used == c.coeffs.size
+            factors.append((factorize(s.left.conj().T, _LINK_FACTORIZE_OPTS,
+                                      start=c.a_tx.conj().T if exact else None),
+                            factorize_combiner(s.right, _LINK_FACTORIZE_OPTS,
+                                               start=c.a_rx if exact else None), exact))
+        p_tilde_d = _block_diag([p.digital for p, _, _ in factors])
+        p_a = np.vstack([p.analog for p, _, _ in factors])
+        combiners = [c.analog @ c.digital for _, c, _ in factors]
     else:
         p_tilde_d = np.eye(offsets[-1], dtype=complex)
         p_a = u_tilde.conj().T
@@ -382,7 +389,7 @@ def _build_link(design, truth, max_streams, noise_var, factorized) -> _Link:
     w_true = whitened(truth)
     w_design = w_true if design is truth else whitened(design)
     return _Link(w_true=w_true, w_design=w_design, design_gains=design_gains,
-                 offsets=offsets, coupling_cond=cond)
+                 offsets=offsets, coupling_cond=cond, factors=factors)
 
 
 def _sum_capacity(link: _Link, blocks: list, powers: np.ndarray) -> np.ndarray:
@@ -462,13 +469,27 @@ def full_digital_baseline(channels, snr_db: float, allocation: str = "waterfilli
     return float(_link_capacities(link, np.array([budget]), allocation)[0])
 
 
+def _trial_paths(cfg: ScenarioConfig, trial: int) -> list:
+    """Each user's paths on one trial, drawn in user order from its (trial, 0) substream."""
+    rng = derive_rng(cfg.master_seed, trial, 0)
+    dist = cfg.path_distribution()
+    return [sample_paths(dist, rng) for _ in range(cfg.k_users)]
+
+
+def _trial_estimates(cfg: ScenarioConfig, trial: int, paths):
+    """Yield each user's ``(h, report)``; their training noise shares one (trial, 1) substream."""
+    tx_geom, rx_geom = cfg.macro_geometry(), cfg.small_geometry()
+    rng = derive_rng(cfg.master_seed, trial, 1)
+    noise = observation_noise_var(cfg)
+    for p in paths:
+        h = assemble_channel(tx_geom, rx_geom, p)
+        yield h, estimate_channel(ChannelOracle(h, noise, rng), tx_geom, rx_geom, cfg.estimation)
+
+
 def _trial_links(cfg: ScenarioConfig, trial: int) -> dict:
     """Every enabled scheme's link on one trial's channel draw, by scheme."""
-    tx_geom = cfg.macro_geometry()
-    rx_geom = cfg.small_geometry()
-    dist = cfg.path_distribution()
-    channel_rng = derive_rng(cfg.master_seed, trial, 0)
-    paths = [sample_paths(dist, channel_rng) for _ in range(cfg.k_users)]
+    tx_geom, rx_geom = cfg.macro_geometry(), cfg.small_geometry()
+    paths = _trial_paths(cfg, trial)
     truth = [_UserChannel.from_paths(tx_geom, rx_geom, p) for p in paths]
 
     links = {}
@@ -477,13 +498,8 @@ def _trial_links(cfg: ScenarioConfig, trial: int) -> dict:
             truth, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
         )
     if "hybrid_estimated" in cfg.schemes:
-        est_rng = derive_rng(cfg.master_seed, trial, 1)
-        noise = observation_noise_var(cfg)
-        estimates = []
-        for p in paths:
-            oracle = ChannelOracle(assemble_channel(tx_geom, rx_geom, p), noise, est_rng)
-            report = estimate_channel(oracle, tx_geom, rx_geom, cfg.estimation)
-            estimates.append(_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths))
+        estimates = [_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths)
+                     for _, report in _trial_estimates(cfg, trial, paths)]
         links["hybrid_estimated"] = _build_link(
             estimates, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
         )
@@ -504,7 +520,7 @@ def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
     one row per (scheme, snr, trial).  Identical configs produce
     identical results regardless of execution order.
     """
-    budgets = np.array([cfg.noise_var * 10.0 ** (snr / 10.0) for snr in cfg.snr_grid_db])
+    budgets = cfg.budgets()
     rows = []
     for trial in range(cfg.trials):
         for scheme, link in _trial_links(cfg, trial).items():

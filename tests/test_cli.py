@@ -38,14 +38,17 @@ n_bb_ma: 4
 n_bb_sm: 2
 """
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# dB values whose linear ratios, and noise variances whose budgets over
+# such SNRs, are finite and positive.
+DECIBELS = st.floats(-300.0, 300.0)
+NOISE_VARS = st.floats(1e-250, 1e250)
 COUNTS = st.integers(1, 64)
 
 ESTIMATIONS = st.builds(
     EstimationConfig,
     l_ma=COUNTS, l_sm=COUNTS, keep=COUNTS,
-    snr_db=FINITE,
+    snr_db=DECIBELS,
     rank_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     max_paths=COUNTS,
     merge_tol=st.none() | POSITIVE,
@@ -68,9 +71,9 @@ def scenarios(draw):
     return ScenarioConfig(
         n_ma=draw(st.integers(n_ma_min, 1024)), n_sm=n_sm, k_users=k_users,
         n_bb_ma=n_bb_ma, n_bb_sm=n_bb_sm,
-        k_factor_db=draw(FINITE), l_min=l_min, l_max=draw(st.integers(l_min, 12)),
-        spacing=draw(POSITIVE), path_loss=draw(POSITIVE), noise_var=draw(POSITIVE),
-        snr_grid_db=tuple(draw(st.lists(FINITE, min_size=1, max_size=5))),
+        k_factor_db=draw(DECIBELS), l_min=l_min, l_max=draw(st.integers(l_min, 12)),
+        spacing=draw(POSITIVE), path_loss=draw(POSITIVE), noise_var=draw(NOISE_VARS),
+        snr_grid_db=tuple(draw(st.lists(DECIBELS, min_size=1, max_size=5))),
         trials=draw(st.integers(1, 10**6)), schemes=schemes,
         allocation=draw(st.sampled_from(ALLOCATIONS)), estimation=estimation,
         master_seed=draw(st.integers(0, 2**64 - 1)),
@@ -397,6 +400,21 @@ class TestCliEndToEnd:
         proc = run_cli("capacity-sweep", "--config", str(bad), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "line 6" in proc.stderr
+
+    @pytest.mark.parametrize("extra, key, line", [
+        ("snr_grid_db: [-4000.0]\n", "snr_grid_db", 6),
+        ("k_factor_db: 4000.0\n", "k_factor_db", 6),
+        ("schemes: [hybrid_estimated]\nestimation:\n  snr_db: 4000.0\n", "snr_db", 8),
+        ("schemes: [hybrid_estimated]\nestimation:\n  snr_db: -4000.0\n", "snr_db", 8),
+    ], ids=["budget_underflow", "k_factor_overflow", "snr_overflow", "snr_underflow"])
+    def test_db_value_without_finite_positive_ratio_is_config_error(
+            self, tmp_path, capsys, extra, key, line):
+        # Each parsed once and failed during the run, with exit code 3.
+        bad = tmp_path / "db.yaml"
+        bad.write_text(MINIMAL + extra)
+        assert cli.main(["capacity-sweep", "--config", str(bad),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"line {line}: {key} must" in capsys.readouterr().err
 
     def test_config_and_preset_conflict(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -169,12 +169,6 @@ class TestFactorize:
         assert np.array_equal(a.digital, b.digital)
         assert a.residual == b.residual
 
-    def test_custom_modulus(self):
-        target = precoder_target(32, 8, 2, 2, seed=8)
-        result = factorize(target, FactorizeOptions(modulus=0.07))
-        assert result.modulus == 0.07
-        assert np.max(np.abs(np.abs(result.analog) - 0.07)) <= 1e-15
-
     @pytest.mark.parametrize("target", [
         precoder_target(512, 32, 2, 4, seed=13),
         precoder_target(512, 32, 5, 4, seed=14),
@@ -282,8 +276,6 @@ class TestFactorize:
             factorize(np.ones((8, 2), dtype=complex))
         with pytest.raises(ValueError):
             FactorizeOptions(max_iterations=0)
-        with pytest.raises(ValueError):
-            FactorizeOptions(stall_tolerance=0.0)
 
 
 class TestFactorizeCombiner:

@@ -20,12 +20,15 @@ from mmwave_backhaul import (
     user_capacity,
 )
 from mmwave_backhaul import simulation
-from mmwave_backhaul.factorization import FactorizeOptions
+from mmwave_backhaul.factorization import FactorizeOptions, factorize, factorize_combiner
+from mmwave_backhaul.precoding import factored_svd
 from mmwave_backhaul.simulation import (
+    _LINK_FACTORIZE_OPTS,
     _build_link,
     _link_capacities,
     _sum_capacity,
     _trial_links,
+    _trial_paths,
     _UserChannel,
 )
 
@@ -312,6 +315,39 @@ class TestGridEvaluator:
             assert len(passes) > 1  # budgets leave the lockstep at different passes
         for budget, capacity in zip(budgets, grid):
             assert _link_capacities(link, np.array([budget]), allocation)[0] == capacity
+
+
+class TestLinkFactors:
+    def test_factors_match_a_direct_factorization(self):
+        # The reference is each user's factorization done by hand from its
+        # drawn paths, as the factorize report once did it.
+        cfg = ScenarioConfig(n_ma=64, n_sm=16, k_users=3, n_bb_ma=12, n_bb_sm=4, trials=2,
+                             master_seed=5, schemes=("hybrid_ideal", "full_digital"))
+        tx, rx = cfg.macro_geometry(), cfg.small_geometry()
+        kinds = set()
+        for trial in range(cfg.trials):
+            links = _trial_links(cfg, trial)
+            assert links["full_digital"].factors == []
+            link = links["hybrid_ideal"]
+            assert len(link.factors) == cfg.k_users
+            streams = 0
+            for paths, (prec, comb, closed_form) in zip(_trial_paths(cfg, trial), link.factors):
+                user = _UserChannel.from_paths(tx, rx, paths)
+                svd = factored_svd(user.a_tx, user.coeffs, user.a_rx, cfg.n_bb_sm)
+                assert closed_form == (svd.rank_used == paths.n_paths)
+                ref_prec = factorize(svd.left.conj().T, _LINK_FACTORIZE_OPTS,
+                                     start=user.a_tx.conj().T if closed_form else None)
+                ref_comb = factorize_combiner(svd.right, _LINK_FACTORIZE_OPTS,
+                                              start=user.a_rx if closed_form else None)
+                for got, ref in ((prec, ref_prec), (comb, ref_comb)):
+                    assert got.residual == ref.residual
+                    assert got.iterations_used == ref.iterations_used
+                    assert np.array_equal(got.analog, ref.analog)
+                    assert np.array_equal(got.digital, ref.digital)
+                streams += svd.rank_used
+                kinds.add(closed_form)
+            assert link.offsets[-1] == streams
+        assert kinds == {True, False}  # both closed-form and iterated users
 
 
 class TestFullDigitalBaseline:
