@@ -6,10 +6,13 @@ kept beam and takes full receive-array snapshots (assembled chain-group
 by chain-group, since only a few baseband chains exist); a
 single-snapshot matrix-pencil line-spectral estimator turns each
 snapshot into arrival directions.  Phase 3 swaps roles to estimate
-departure directions the same way.  A final least-squares fit recovers
-the coupling gains between every estimated departure/arrival pair, the
-dominant pairs become the path estimate, and the channel is rebuilt
-from them.
+departure directions the same way.  Each phase takes all of its
+snapshots first, in beam order, so the measurement noise is drawn as
+one beam at a time would draw it, and then fits them as one stack: the
+phase's pencils run in lockstep, and each snapshot gets the fit it
+would get alone.  A final least-squares fit recovers the coupling gains
+between every estimated departure/arrival pair, the dominant pairs
+become the path estimate, and the channel is rebuilt from them.
 """
 
 from __future__ import annotations
@@ -284,7 +287,8 @@ _BREAKDOWN_TOL = 1e-14
 # the pencil's order and every kept triplet's residual bound is at most
 # this times the largest Ritz value.
 _CONVERGED_TOL = 1e-10
-# Steps between two checks of that rule; each check is one small SVD.
+# Steps between two checks of that rule; each check is one stacked SVD of
+# the running rows' bidiagonals.
 _CHECK_EVERY = 4
 
 
@@ -303,58 +307,88 @@ def _decided_order(s, bounds, max_order: int, rank_threshold: float):
 
 
 def _leading_left_singular(x: np.ndarray, rows: int, max_order: int, rank_threshold: float):
-    """Leading singular values and left singular vectors of the Hankel of ``x``.
+    """Leading singular values and left singular vectors of each row's Hankel.
 
-    The Hankel matrix has ``rows`` rows, ``x.size - rows + 1`` columns
-    and entries ``x[i + k]``.  A Golub-Kahan-Lanczos run of depth at
-    most ``_KRYLOV_PER_ORDER * max_order`` gives the leading triplets;
-    the pencil's order (the count at or above ``rank_threshold`` times
-    the largest, capped at ``max_order``) is taken from them only when
-    ``_decided_order`` fixes it.  Otherwise, and when the depth covers the
-    whole matrix, the Hankel is built and its dense SVD taken.  Returns
-    ``(sigmas, left, lanczos_steps)``, descending, with ``lanczos_steps``
-    0 for the dense SVD; a zero matrix gives ``sigmas[0] == 0``.
+    ``x`` is a (B, n) stack; row b's Hankel has ``rows`` rows,
+    ``n - rows + 1`` columns and entries ``x[b, i + k]``.  One lockstep
+    Golub-Kahan-Lanczos run of depth at most ``_KRYLOV_PER_ORDER *
+    max_order`` gives every row's leading triplets; a row's pencil order
+    (the count at or above ``rank_threshold`` times the largest, capped
+    at ``max_order``) is taken from them only when ``_decided_order``
+    fixes it.  The other rows, and every row when the depth covers the
+    whole matrix, get the dense SVD of their Hankel, all in one batched
+    call, which is bit for bit each matrix's own SVD.  Returns one
+    ``(sigmas, left, lanczos_steps)`` per row, descending, with
+    ``lanczos_steps`` 0 for the dense SVD; a zero matrix gives
+    ``sigmas[0] == 0``.
     """
-    cols = x.size - rows + 1
+    cols = x.shape[1] - rows + 1
     depth = _KRYLOV_PER_ORDER * max_order
+    found = [None] * len(x)
     if depth < min(rows, cols):
-        s, u, bounds = _golub_kahan_lanczos(x, rows, depth, max_order, rank_threshold)
-        if _decided_order(s, bounds, min(max_order, s.size), rank_threshold) is not None:
-            return s, u, s.size
-    hankel = x[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
-    u, s, _ = np.linalg.svd(hankel, full_matrices=False)
-    return s, u, 0
+        runs = _golub_kahan_lanczos(x, rows, depth, max_order, rank_threshold)
+        for b, (s, u, bounds) in enumerate(runs):
+            if _decided_order(s, bounds, min(max_order, s.size), rank_threshold) is not None:
+                found[b] = s, u, s.size
+    dense = [b for b, result in enumerate(found) if result is None]
+    if dense:
+        hankels = x[dense][:, np.arange(rows)[:, None] + np.arange(cols)[None, :]]
+        u, s, _ = np.linalg.svd(hankels, full_matrices=False)
+        for b, s_b, u_b in zip(dense, s, u):
+            found[b] = s_b, u_b, 0
+    return found
 
 
-def _ritz_triplets(alphas, betas, tail: float):
-    # The k x (k+1) upper bidiagonal of the alphas and betas, its SVD
-    # P S Q^H, and each triplet's residual bound: the next alpha times
-    # the last entry of its right vector.
-    k = len(alphas)
-    bidiagonal = np.zeros((k, k + 1))
-    bidiagonal[np.arange(k), np.arange(k)] = alphas
-    bidiagonal[np.arange(k), np.arange(1, k + 1)] = betas
+def _ritz_triplets(alphas, betas, tail):
+    # Per row of the (G, k) alphas and betas: the k x (k+1) upper
+    # bidiagonal, its SVD P S Q^H, and each triplet's residual bound, the
+    # row's tail (next alpha) times the last entry of its right vector.
+    # The stacked SVD is bit for bit each bidiagonal's own.
+    k = alphas.shape[1]
+    bidiagonal = np.zeros((len(alphas), k, k + 1))
+    bidiagonal[:, np.arange(k), np.arange(k)] = alphas
+    bidiagonal[:, np.arange(k), np.arange(1, k + 1)] = betas
     p, s, qh = np.linalg.svd(bidiagonal, full_matrices=False)
-    return s, p, tail * np.abs(qh[:, k])
+    return s, p, tail[:, None] * np.abs(qh[:, :, k])
 
 
 def _correlate(spectrum: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
     # First `size` entries of sum_k y[i + k] v[k], circular over the length
-    # of y, where `spectrum` is fft(y) and v is zero-padded to that length.
-    return np.fft.ifft(spectrum * np.fft.ifft(v, spectrum.size, norm="forward"))[:size]
+    # of y, where `spectrum` is fft(y) and v is zero-padded to that length;
+    # row by row for stacks (a stacked FFT is bit for bit the rows' own).
+    # One buffer holds every stage.  The spectrum stays the product's first
+    # factor: numpy's complex multiply is not bit-commutative.
+    buffer = np.zeros(spectrum.shape, dtype=complex)
+    buffer[..., :v.shape[-1]] = v
+    np.fft.ifft(buffer, norm="forward", out=buffer)
+    np.multiply(spectrum, buffer, out=buffer)
+    return np.fft.ifft(buffer, out=buffer)[..., :size]
+
+
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    # Each row's 2-norm, bit for bit np.linalg.norm of the row: both take
+    # one BLAS dot of the real parts and one of the imaginary parts.
+    return np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+
+
+def _along(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # Each row's component of v[b] in the span of the orthonormal rows of
+    # basis[b]: one matrix-vector product each way, as for a lone row.
+    coefs = np.matmul(basis, v.conj()[:, :, None])[:, :, 0].conj()
+    return np.matmul(coefs[:, None, :], basis)[:, 0]
 
 
 def _golub_kahan_lanczos(x: np.ndarray, rows: int, depth: int, max_order: int,
                          rank_threshold: float):
-    """Ritz triplets of the Hankel of ``x`` from at most ``depth`` bidiagonalization steps.
+    """Ritz triplets of each row's Hankel from at most ``depth`` bidiagonalization steps.
 
-    The Hankel ``H[i, k] = x[i + k]`` (``rows`` rows) is never formed:
-    ``H @ v`` is the first ``rows`` entries of the circular correlation
-    of ``x`` with ``v`` over ``x.size`` samples, and ``H^H @ u`` the
-    first ``cols`` of the correlation of ``conj(x)`` with ``u``.
-    Neither wraps, since ``rows + cols - 1 == x.size``, so each is one
-    FFT pair against spectra taken once per call (Browne, Qiao & Wei
-    2009).
+    ``x`` is a (B, n) stack.  Row b's Hankel ``H[i, k] = x[b, i + k]``
+    (``rows`` rows) is never formed: ``H @ v`` is the first ``rows``
+    entries of the circular correlation of ``x[b]`` with ``v`` over
+    ``n`` samples, and ``H^H @ u`` the first ``cols`` of the
+    correlation of ``conj(x[b])`` with ``u``.  Neither wraps, since
+    ``rows + cols - 1 == n``, so each is one FFT pair against spectra
+    taken once per call (Browne, Qiao & Wei 2009).
 
     Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
     runs from the fixed start vector ``conj(H[0])`` (``conj(H[-1])`` if
@@ -362,86 +396,135 @@ def _golub_kahan_lanczos(x: np.ndarray, rows: int, depth: int, max_order: int,
     With ``U_k`` the left Lanczos vectors, ``U_k^H H`` is the k x (k+1)
     upper bidiagonal of the alphas and betas times the right Lanczos
     vectors, and its small SVD ``P S Q^H`` gives the Ritz triplets
-    ``(S, U_k P)``.  The iteration stops when a new vector vanishes (an
-    exactly low-rank matrix), where the Ritz values are exact.  Every
+    ``(S, U_k P)``.  A row stops when a new vector vanishes (an exactly
+    low-rank matrix), where the Ritz values are exact.  Every
     ``_CHECK_EVERY`` steps, right after the next alpha, it also stops
     when the Ritz values decide the pencil's order and every kept
     triplet's bound is at most ``_CONVERGED_TOL`` times the largest:
-    the result is then exactly that of a run of that depth.  Returns
-    ``(sigmas, left, residual_bounds)``, descending; a zero matrix gives
+    the result is then exactly that of a run of that depth.
+
+    The rows run in lockstep: each step is one stacked FFT pair and one
+    batched reorthogonalization over the rows still running, each check
+    one stacked SVD of their bidiagonals.  A row that stops leaves the
+    stack; the stacked arrays are compacted then, not on every step.
+    Every row takes the arithmetic of its lone run, so its result does
+    not depend on the other rows.  Returns one ``(sigmas, left,
+    residual_bounds)`` per row, descending; a zero matrix gives
     ``sigmas[0] == 0``.
     """
-    cols = x.size - rows + 1
-    zero = np.zeros(1), np.zeros((rows, 1), dtype=complex), np.zeros(1)
-    start = x[:cols] if np.any(x[:cols]) else x[rows - 1:]
-    start_norm = np.linalg.norm(start)
-    if start_norm == 0:
-        return zero
-    spectrum, conj_spectrum = np.fft.fft(x), np.fft.fft(x.conj())
+    cols = x.shape[1] - rows + 1
+    results = [(np.zeros(1), np.zeros((rows, 1), dtype=complex), np.zeros(1))] * len(x)
+    heads = x[:, :cols]
+    start = np.where(np.any(heads, axis=1)[:, None], heads, x[:, rows - 1:])
+    start_norm = _row_norms(start)
+    live = np.flatnonzero(start_norm > 0)  # the stack row of each running row
+    spectrum, conj_spectrum = np.fft.fft(x[live]), np.fft.fft(x[live].conj())
     # Lanczos vectors are stored as rows, so every product is contiguous.
-    left = np.empty((depth, rows), dtype=complex)
-    right = np.empty((depth + 1, cols), dtype=complex)
-    right[0] = start.conj() / start_norm
-    alphas, betas = [], []
-    scale = tail = 0.0
+    left = np.empty((live.size, depth, rows), dtype=complex)
+    right = np.empty((live.size, depth + 1, cols), dtype=complex)
+    right[:, 0] = start[live].conj() / start_norm[live, None]
+    alphas, betas = np.empty((live.size, depth)), np.empty((live.size, depth))
+    scale = np.zeros(live.size)
+
+    def record(stopped, k, tail, check):
+        # One stacked SVD of the bidiagonals after k steps: the final Ritz
+        # triplets of the stopped rows and, at a check, of the rows that the
+        # stop rule stops (they join `stopped`).
+        s, p, bounds = _ritz_triplets(alphas[:, :k], betas[:, :k], tail)
+        for r in range(live.size):
+            if stopped[r] or check and _converged(s[r], bounds[r], max_order, rank_threshold):
+                stopped[r] = True
+                results[live[r]] = s[r], left[r, :k].T @ p[r], bounds[r]
+
+    def compact(keep, *extra):
+        # The running rows' arrays, with the j + 1 Lanczos vectors filled so far.
+        nonlocal live, spectrum, conj_spectrum, left, right, alphas, betas, scale
+        live, spectrum, conj_spectrum, scale = live[keep], spectrum[keep], conj_spectrum[keep], scale[keep]
+        alphas, betas = alphas[keep], betas[keep]
+        left, right = (_prefix(stack, keep, j + 1) for stack in (left, right))
+        return [a[keep] for a in extra]
+
     for j in range(depth + 1):
-        w = _correlate(spectrum, right[j], rows)
+        w = _correlate(spectrum, right[:, j], rows)
         if j:
-            w -= betas[-1] * left[j - 1]
-            w -= (left[:j] @ w.conj()).conj() @ left[:j]
-        alpha = np.linalg.norm(w)
-        scale = max(scale, alpha)
-        if j == depth or alpha <= _BREAKDOWN_TOL * scale:
-            tail = alpha
+            w -= betas[:, j - 1, None] * left[:, j - 1]
+            w -= _along(left[:, :j], w)
+        alpha = _row_norms(w)
+        scale = np.maximum(scale, alpha)
+        stopped = (alpha <= _BREAKDOWN_TOL * scale) | (j == depth)
+        check = j % _CHECK_EVERY == 0
+        if j and (check or stopped.any()):
+            record(stopped, j, alpha, check)
+        if stopped.any():
+            w, alpha = compact(~stopped, w, alpha)
+        if not live.size:
             break
-        if j and j % _CHECK_EVERY == 0:
-            s, p, bounds = _ritz_triplets(alphas, betas, alpha)
-            kept = _decided_order(s, bounds, max_order, rank_threshold)
-            if kept is not None and np.max(bounds[:kept]) <= _CONVERGED_TOL * s[0]:
-                return s, left[:j].T @ p, bounds
-        left[j] = w / alpha
-        alphas.append(alpha)
-        z = _correlate(conj_spectrum, left[j], cols) - alpha * right[j]
-        z -= (right[:j + 1] @ z.conj()).conj() @ right[:j + 1]
-        beta = np.linalg.norm(z)
-        betas.append(beta)
-        if beta <= _BREAKDOWN_TOL * scale:
-            break
-        right[j + 1] = z / beta
-    if not alphas:
-        return zero
-    s, p, bounds = _ritz_triplets(alphas, betas, tail)
-    return s, left[:len(alphas)].T @ p, bounds
+        left[:, j] = w / alpha[:, None]
+        alphas[:, j] = alpha
+        z = _correlate(conj_spectrum, left[:, j], cols) - alpha[:, None] * right[:, j]
+        z -= _along(right[:, :j + 1], z)
+        beta = _row_norms(z)
+        betas[:, j] = beta
+        stopped = beta <= _BREAKDOWN_TOL * scale
+        if stopped.any():
+            record(stopped, j + 1, np.zeros(live.size), False)
+            z, beta = compact(~stopped, z, beta)
+        right[:, j + 1] = z / beta[:, None]
+    return results
 
 
-def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> LineSpectrum:
-    """Fit a sum of complex exponentials to one snapshot (matrix pencil).
+def _converged(s, bounds, max_order: int, rank_threshold: float) -> bool:
+    # The stop rule: the Ritz values decide the order and every kept
+    # triplet's residual bound is at most _CONVERGED_TOL times the largest.
+    kept = _decided_order(s, bounds, max_order, rank_threshold)
+    return kept is not None and np.max(bounds[:kept]) <= _CONVERGED_TOL * s[0]
 
-    The snapshot defines a Hankel matrix with pencil parameter
-    ``len(snapshot) // 2``; the model order is the number of its
-    singular values at or above ``rank_threshold`` times the largest,
-    capped at ``max_order``.  Only the leading singular triplets are
-    computed, by a Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan
-    1965) that applies the Hankel by FFT and runs at most
-    ``_KRYLOV_PER_ORDER * max_order`` steps, fewer once its kept
-    triplets have converged.  The Hankel is built and its dense SVD
-    taken instead when that depth covers the whole matrix, as for a
+
+def _prefix(stack: np.ndarray, keep: np.ndarray, filled: int) -> np.ndarray:
+    # stack[keep] with only the first `filled` vectors of each row copied.
+    out = np.empty((np.count_nonzero(keep),) + stack.shape[1:], dtype=stack.dtype)
+    out[:, :filled] = stack[keep, :filled]
+    return out
+
+
+def line_spectrum_estimate(snapshots, max_order: int, rank_threshold: float):
+    """Fit a sum of complex exponentials to each snapshot of a stack (matrix pencil).
+
+    ``snapshots`` is a (B, n) stack, fitted row by row, or one length-n
+    snapshot, the stack of one.  Each snapshot defines a Hankel matrix
+    with pencil parameter ``n // 2``; the model order is the number of
+    its singular values at or above ``rank_threshold`` times the
+    largest, capped at ``max_order``.  Only the leading singular
+    triplets are computed, by a Golub-Kahan-Lanczos bidiagonalization
+    (Golub & Kahan 1965) that applies the Hankel by FFT, runs the whole
+    stack in lockstep and runs at most ``_KRYLOV_PER_ORDER * max_order``
+    steps, fewer once a row's kept triplets have converged.  The Hankel
+    is built and its dense SVD taken instead, for the rows concerned in
+    one batched call, when that depth covers the whole matrix, as for a
     32-element snapshot, or when a Ritz value lies too close to the
     order's cut to decide it.  Frequencies come from the
     shift-invariance eigenvalue problem on the leading left singular
     vectors (Hua & Sarkar 1990), and amplitudes from least squares
     against the snapshot.  For a noiseless sum of at most
-    ``min(max_order, len(snapshot)//2 - 1)`` distinct exponentials the
-    recovery is exact up to rounding.
+    ``min(max_order, n//2 - 1)`` distinct exponentials the recovery is
+    exact up to rounding.  A row's fit does not depend on the other
+    rows of its stack.
+
+    Returns one ``LineSpectrum`` per row of a stack, or the
+    ``LineSpectrum`` of a single snapshot.
 
     Raises
     ------
     ValueError
-        If the snapshot is shorter than 4 samples or ``max_order``
-        exceeds half its length.
+        If the snapshots are shorter than 4 samples, ``max_order``
+        exceeds half their length, or the input is neither one snapshot
+        nor a 2-D stack.
     """
-    x = np.asarray(snapshot, dtype=complex).ravel()
-    n = x.size
+    x = np.asarray(snapshots, dtype=complex)
+    if x.ndim not in (1, 2):
+        raise ValueError("snapshots must be one snapshot or a (B, n) stack")
+    stack = x.reshape(-1, x.shape[-1])
+    n = stack.shape[1]
     if n < 4:
         raise ValueError("snapshot must have at least 4 samples")
     pencil = n // 2
@@ -449,18 +532,37 @@ def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> L
         raise ValueError(f"max_order must be <= {pencil} for a length-{n} snapshot")
 
     rows = n - pencil
-    s, u, steps = _leading_left_singular(x, rows, max_order, rank_threshold)
-    if s[0] == 0:
-        return LineSpectrum(np.empty(0), np.empty(0, dtype=complex), residual=0.0)
-    order = int(np.sum(s >= rank_threshold * s[0]))
-    order = min(order, max_order, rows - 1)
-    if order == 0:
-        return LineSpectrum(np.empty(0), np.empty(0, dtype=complex), residual=float(np.linalg.norm(x)),
-                            lanczos_steps=steps)
+    triplets = _leading_left_singular(stack, rows, max_order, rank_threshold)
+    orders = [0 if s[0] == 0 else min(int(np.sum(s >= rank_threshold * s[0])), max_order, rows - 1)
+              for s, _, _ in triplets]
+    # The shift-invariance eigenvalue problem, one stacked pinv, product and
+    # eigvals per model order and width of the left vectors.  Each gives a
+    # row bit for bit its lone result; for the product that holds only on
+    # slices of the whole stacked left vectors, as its rounding follows the
+    # memory layout.
+    groups = {}
+    for b, ((_, u, _), order) in enumerate(zip(triplets, orders)):
+        if order:
+            groups.setdefault((order, u.shape[1]), []).append(b)
+    roots = {}
+    for (order, _), members in groups.items():
+        left = np.stack([triplets[b][1] for b in members])
+        shifts = np.linalg.pinv(left[:, :-1, :order]) @ left[:, 1:, :order]
+        roots.update(zip(members, np.linalg.eigvals(shifts)))
+    spectra = []
+    for b, (row, (s, _, steps)) in enumerate(zip(stack, triplets)):
+        if s[0] == 0:
+            spectra.append(LineSpectrum(np.empty(0), np.empty(0, dtype=complex), residual=0.0))
+        elif b not in roots:
+            spectra.append(LineSpectrum(np.empty(0), np.empty(0, dtype=complex),
+                                        residual=float(np.linalg.norm(row)), lanczos_steps=steps))
+        else:
+            spectra.append(_fit_amplitudes(row, roots[b], steps))
+    return spectra[0] if x.ndim == 1 else spectra
 
-    subspace = u[:, :order]
-    shift = np.linalg.pinv(subspace[:-1]) @ subspace[1:]
-    roots = np.linalg.eigvals(shift)
+
+def _fit_amplitudes(x: np.ndarray, roots: np.ndarray, steps: int) -> LineSpectrum:
+    # The snapshot's line spectrum at the frequencies of the pencil's roots.
     freqs = np.angle(roots) / (2.0 * np.pi)
     freqs = np.mod(freqs + 0.5, 1.0) - 0.5
     freqs = np.sort(freqs)
@@ -469,6 +571,7 @@ def line_spectrum_estimate(snapshot, max_order: int, rank_threshold: float) -> L
     keep_mask[1:] = np.diff(freqs) > 1e-9
     freqs = freqs[keep_mask]
 
+    n = x.size
     basis = np.exp(2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)
     coefs, *_ = np.linalg.lstsq(basis, x, rcond=None)
     residual = float(np.linalg.norm(x - basis @ coefs))
@@ -600,29 +703,27 @@ def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry
     With ``receive`` (phase 2) each beam is transmitted and ``geom`` is
     the receive array; otherwise (phase 3) each beam combines at the
     receiver and ``geom`` is the transmit array, whose snapshot is the
-    conjugate of the oracle's.  The pencil's order is capped at
-    ``min(max_paths, n // 2)`` and detections merge within ``merge_tol``
-    (default ``0.25 / n``).  Returns ``(snapshots, angles, slots,
-    lanczos_steps)`` with the snapshots as the oracle returned them and
-    each pencil's ``lanczos_steps``.
+    conjugate of the oracle's.  Every snapshot is taken first, in beam
+    order, and the pencil then fits them as one stack.  The pencil's
+    order is capped at ``min(max_paths, n // 2)`` and detections merge
+    within ``merge_tol`` (default ``0.25 / n``).  Returns ``(snapshots,
+    angles, slots, lanczos_steps)`` with the snapshots as the oracle
+    returned them and each pencil's ``lanczos_steps``.
     """
     n = geom.n_elements
     order = min(cfg.max_paths, n // 2)
     tol = cfg.merge_tol if cfg.merge_tol is not None else 0.25 / n
-    snapshots, detections, slots, steps = [], [], 0, []
-    for beam in beams:
-        snapshot, used = oracle.snapshot(beam, n_chains, receive)
-        slots += used
-        spectrum = line_spectrum_estimate(snapshot if receive else snapshot.conj(), order,
-                                          cfg.rank_threshold)
-        detections.extend(zip(spectrum.frequencies, np.abs(spectrum.coefficients)))
-        snapshots.append(snapshot)
-        steps.append(spectrum.lanczos_steps)
+    snapshots, slots = zip(*(oracle.snapshot(beam, n_chains, receive) for beam in beams))
+    stack = np.array(snapshots)
+    spectra = line_spectrum_estimate(stack if receive else stack.conj(), order, cfg.rank_threshold)
+    detections = [detection for spectrum in spectra
+                  for detection in zip(spectrum.frequencies, np.abs(spectrum.coefficients))]
     freqs = _merge_frequencies(detections, tol, cfg.max_paths, cfg.rank_threshold)
     if freqs.size == 0:
         side = "arrival" if receive else "departure"
         raise EstimationFailedError(f"no {side} directions detected")
-    return snapshots, _freq_to_angle(freqs, geom.spacing), slots, tuple(steps)
+    return (list(snapshots), _freq_to_angle(freqs, geom.spacing), sum(slots),
+            tuple(spectrum.lanczos_steps for spectrum in spectra))
 
 
 def estimate_channel(

@@ -144,6 +144,10 @@ class ScenarioConfig:
             self.macro_geometry()
         except ValueError as exc:
             raise ConfigValidationError(str(exc)) from None
+        # A subnormal path loss parses but overflows the channel's scale.
+        if not np.isfinite(np.sqrt(self.n_ma * self.n_sm / self.path_loss)):
+            raise ConfigValidationError(
+                "path_loss must keep the steering scale sqrt(elements / path_loss) finite")
         if self.noise_var <= 0:
             raise ConfigValidationError("noise_var must be positive")
         if not self.snr_grid_db:
@@ -168,6 +172,10 @@ class ScenarioConfig:
                 self.estimation, n_bb_ma=self.n_bb_ma, n_bb_sm=self.n_bb_sm,
                 path_loss=self.path_loss,
             ))
+            if not np.isfinite(observation_noise_var(self)):
+                raise ConfigValidationError(
+                    "path_loss must give a finite observation noise variance "
+                    "(1 / path_loss) / 10**(snr_db / 10) with the estimation snr_db")
             for name in ("n_ma", "n_sm"):
                 if getattr(self, name) < 4:
                     raise ConfigValidationError(

@@ -43,6 +43,9 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # such SNRs, are finite and positive.
 DECIBELS = st.floats(-300.0, 300.0)
 NOISE_VARS = st.floats(1e-250, 1e250)
+# Path losses whose steering scale, and observation noise variance over
+# such SNRs, are finite.
+PATH_LOSSES = st.floats(1e-250, 1e250)
 COUNTS = st.integers(1, 64)
 
 ESTIMATIONS = st.builds(
@@ -72,7 +75,7 @@ def scenarios(draw):
         n_ma=draw(st.integers(n_ma_min, 1024)), n_sm=n_sm, k_users=k_users,
         n_bb_ma=n_bb_ma, n_bb_sm=n_bb_sm,
         k_factor_db=draw(DECIBELS), l_min=l_min, l_max=draw(st.integers(l_min, 12)),
-        spacing=draw(POSITIVE), path_loss=draw(POSITIVE), noise_var=draw(NOISE_VARS),
+        spacing=draw(POSITIVE), path_loss=draw(PATH_LOSSES), noise_var=draw(NOISE_VARS),
         snr_grid_db=tuple(draw(st.lists(DECIBELS, min_size=1, max_size=5))),
         trials=draw(st.integers(1, 10**6)), schemes=schemes,
         allocation=draw(st.sampled_from(ALLOCATIONS)), estimation=estimation,
@@ -363,6 +366,7 @@ class TestCliEndToEnd:
         assert proc.returncode == 0, proc.stderr
         assert "channel NMSE" in proc.stdout
         assert "training slots" in proc.stdout
+        assert "at the full depth 32," in proc.stdout
 
     def test_factorize_report(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -406,7 +410,11 @@ class TestCliEndToEnd:
         ("k_factor_db: 4000.0\n", "k_factor_db", 6),
         ("schemes: [hybrid_estimated]\nestimation:\n  snr_db: 4000.0\n", "snr_db", 8),
         ("schemes: [hybrid_estimated]\nestimation:\n  snr_db: -4000.0\n", "snr_db", 8),
-    ], ids=["budget_underflow", "k_factor_overflow", "snr_overflow", "snr_underflow"])
+        ("path_loss: 1.0e-320\n", "path_loss", 6),
+        ("path_loss: 1.0e-300\nschemes: [hybrid_estimated]\nestimation:\n  snr_db: -100.0\n",
+         "path_loss", 6),
+    ], ids=["budget_underflow", "k_factor_overflow", "snr_overflow", "snr_underflow",
+            "steering_scale_overflow", "observation_noise_overflow"])
     def test_db_value_without_finite_positive_ratio_is_config_error(
             self, tmp_path, capsys, extra, key, line):
         # Each parsed once and failed during the run, with exit code 3.

@@ -304,18 +304,21 @@ class TestTruncatedPencil:
         assert spec.order == 2
         np.testing.assert_allclose(spec.frequencies, [-0.2, 0.1], atol=1e-12)
 
-    def test_order_near_the_cut_matches_dense_svd(self):
-        # Three tones in a noise cluster that straddles the 1e-2 cut: 32
-        # Lanczos steps put 6 Ritz values above it where the dense SVD has
-        # 7 singular values.  The first Ritz value below the cut lies
-        # within its residual bound of it, so the order is left to the
-        # dense SVD.
+    def near_cut_snapshot(self):
+        # Three tones in a noise cluster that straddles the 1e-2 cut.
         rng = np.random.default_rng([77, 88])
         tones = int(rng.integers(1, 4))
         freqs = rng.uniform(-0.5, 0.5, tones)
         coefs = rng.uniform(0.5, 1.0, tones) * np.exp(2j * np.pi * rng.uniform(0, 1, tones))
         snap = self.synth(freqs, coefs)
-        snap = snap + 0.0027 * (rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n))
+        return snap + 0.0027 * (rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n))
+
+    def test_order_near_the_cut_matches_dense_svd(self):
+        # 32 Lanczos steps put 6 Ritz values above the cut where the dense
+        # SVD has 7 singular values.  The first Ritz value below the cut
+        # lies within its residual bound of it, so the order is left to
+        # the dense SVD.
+        snap = self.near_cut_snapshot()
         order, dense_freqs, _ = self.dense_reference(snap, 8, 1e-2)
         spec = line_spectrum_estimate(snap, 8, 1e-2)
         assert spec.lanczos_steps == 0
@@ -352,57 +355,110 @@ class TestTruncatedPencil:
         assert 0 not in steps
         assert sum(k < 32 for k in steps) >= 0.6 * len(steps)
 
+    def test_stack_rows_match_lone_runs(self):
+        # Rows that stop at different depths, and rows that run all 32
+        # steps, share lockstep runs in stacks of 1 to 8.  Each row keeps
+        # its lone run's stop depth, order and singular triplets.
+        snaps = np.array(list(self.noisy_snapshots()))
+        lone = [estimation._golub_kahan_lanczos(snap[None], 256, 32, 8, 1e-2)[0] for snap in snaps]
+        lone_specs = [line_spectrum_estimate(snap, 8, 1e-2) for snap in snaps]
+        assert {s.size for s, _, _ in lone} >= {8, 12, 32}
+        for size in (1, 3, 8):
+            for first in range(0, len(snaps), size):
+                stack = snaps[first:first + size]
+                runs = estimation._golub_kahan_lanczos(stack, 256, 32, 8, 1e-2)
+                specs = line_spectrum_estimate(stack, 8, 1e-2)
+                assert len(runs) == len(specs) == len(stack)
+                for b, ((s, u, _), spec) in enumerate(zip(runs, specs)):
+                    want_s, want_u, _ = lone[first + b]
+                    assert s.size == want_s.size and u.shape == want_u.shape
+                    np.testing.assert_allclose(s, want_s, rtol=1e-12)
+                    np.testing.assert_allclose(u, want_u, rtol=0, atol=1e-12)
+                    assert spec.lanczos_steps == lone_specs[first + b].lanczos_steps
+                    assert spec.order == lone_specs[first + b].order
+
+    def test_stack_of_one_is_the_single_call(self):
+        for snap in list(self.noisy_snapshots())[:6]:
+            single = line_spectrum_estimate(snap, 8, 1e-2)
+            (stacked,) = line_spectrum_estimate(snap[None], 8, 1e-2)
+            assert np.array_equal(stacked.frequencies, single.frequencies)
+            assert np.array_equal(stacked.coefficients, single.coefficients)
+            assert stacked.residual == single.residual
+            assert stacked.lanczos_steps == single.lanczos_steps
+
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_rows_in_a_stack(self):
+        # A zero snapshot (no Lanczos run), an exactly rank-two Hankel
+        # (breakdown after two steps), a near-cut row (dense fallback) and
+        # an ordinary noisy row: each comes back as it would alone.
+        rows = [np.zeros(self.n, dtype=complex), self.synth([-0.2, 0.1], [0.4, 1j]),
+                self.near_cut_snapshot(), next(self.noisy_snapshots())]
+        specs = line_spectrum_estimate(np.array(rows), 8, 1e-2)
+        assert [spec.lanczos_steps for spec in specs[1:3]] == [2, 0]
+        assert specs[0].order == 0 and specs[0].residual == 0.0
+        for row, spec in zip(rows, specs):
+            alone = line_spectrum_estimate(row, 8, 1e-2)
+            assert spec.order == alone.order
+            assert spec.lanczos_steps == alone.lanczos_steps
+            np.testing.assert_allclose(spec.frequencies, alone.frequencies, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(spec.coefficients, alone.coefficients, rtol=1e-12, atol=1e-15)
+
     def test_early_stop_is_the_run_of_that_depth(self, monkeypatch):
-        # A run that stops at depth k returns bit for bit what a run
-        # capped at k steps, with the stopping rule off, returns.
-        stopped = []
-        for snap in self.noisy_snapshots():
-            s, u, bounds = estimation._golub_kahan_lanczos(snap, 256, 32, 8, 1e-2)
-            if s.size < 32:
-                stopped.append((snap, s, u, bounds))
+        # A row that stops at depth k returns bit for bit what a stacked
+        # run capped at k steps, with the stopping rule off, returns.
+        snaps = np.array(list(self.noisy_snapshots()))
+        runs = estimation._golub_kahan_lanczos(snaps, 256, 32, 8, 1e-2)
+        stopped = [(snap, run) for snap, run in zip(snaps, runs) if run[0].size < 32]
+        depths = sorted({run[0].size for _, run in stopped})
         assert len(stopped) >= 20
-        assert {s.size for _, s, _, _ in stopped} >= {8, 12}
+        assert set(depths) >= {8, 12}
         monkeypatch.setattr(estimation, "_CONVERGED_TOL", -1.0)
-        for snap, s, u, bounds in stopped:
-            capped = estimation._golub_kahan_lanczos(snap, 256, s.size, 8, 1e-2)
-            for got, want in zip(capped, (s, u, bounds)):
-                assert np.array_equal(got, want)
-        # With the rule off every run takes its full depth.
-        assert estimation._golub_kahan_lanczos(stopped[0][0], 256, 32, 8, 1e-2)[0].size == 32
+        for depth in depths:
+            group = [(snap, run) for snap, run in stopped if run[0].size == depth]
+            capped = estimation._golub_kahan_lanczos(np.array([snap for snap, _ in group]),
+                                                     256, depth, 8, 1e-2)
+            for (_, run), got in zip(group, capped):
+                for got_part, want_part in zip(got, run):
+                    assert np.array_equal(got_part, want_part)
+        # With the rule off every row takes its full depth.
+        assert {s.size for s, _, _ in estimation._golub_kahan_lanczos(snaps[:4], 256, 32, 8, 1e-2)} == {32}
 
     @pytest.mark.parametrize("n", [512, 513, 64, 31])
     def test_fft_products_match_dense_hankel(self, n):
-        # H @ v and H^H @ u by FFT, for the pencil's row count at even and
-        # odd lengths, against the dense Hankel H[i, k] = x[i + k].
+        # H @ v and H^H @ u by FFT, row by row for a stack, for the
+        # pencil's row count at even and odd lengths, against the dense
+        # Hankel H[i, k] = x[b, i + k].
         rng = np.random.default_rng([9, n])
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         rows = n - n // 2
         cols = n - rows + 1
-        hankel = x[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
-        v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-        u = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        v = rng.standard_normal((3, cols)) + 1j * rng.standard_normal((3, cols))
+        u = rng.standard_normal((3, rows)) + 1j * rng.standard_normal((3, rows))
         forward = estimation._correlate(np.fft.fft(x), v, rows)
         adjoint = estimation._correlate(np.fft.fft(x.conj()), u, cols)
-        assert forward.shape == (rows,) and adjoint.shape == (cols,)
-        expected = hankel @ v, hankel.conj().T @ u
-        for got, want in zip((forward, adjoint), expected):
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert forward.shape == (3, rows) and adjoint.shape == (3, cols)
+        for b in range(3):
+            hankel = x[b][np.arange(rows)[:, None] + np.arange(cols)[None, :]]
+            expected = hankel @ v[b], hankel.conj().T @ u[b]
+            for got, want in zip((forward[b], adjoint[b]), expected):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n", [512, 513])
     def test_lanczos_start_and_breakdown_match_dense_svd(self, n):
-        # Zero first Hankel row (the run starts from the last row), and
-        # exactly rank-one and rank-two Hankels, where the run stops after
-        # one and two steps with exact Ritz values.
+        # One stack of a zero first Hankel row (the run starts from the
+        # last row), and exactly rank-one and rank-two Hankels, where the
+        # run stops after one and two steps with exact Ritz values.
         pencil = n // 2
         rows = n - pencil
         m = np.arange(n)
         tones = (np.exp(2j * np.pi * 0.3 * m), np.exp(2j * np.pi * -0.2 * m))
         tail = (tones[0] + 0.5j * tones[1]) * (m > pencil)
         cases = [(tail, None), (0.4 * tones[1], 1), (0.4 * tones[1] + 1j * tones[0], 2)]
-        for snap, rank in cases:
+        runs = estimation._golub_kahan_lanczos(np.array([snap for snap, _ in cases]), rows,
+                                               32, 8, 1e-2)
+        for (snap, rank), (s, u, bounds) in zip(cases, runs):
             hankel = snap[np.arange(rows)[:, None] + np.arange(pencil + 1)[None, :]]
             dense = np.linalg.svd(hankel, compute_uv=False)
-            s, u, bounds = estimation._golub_kahan_lanczos(snap, rows, 32, 8, 1e-2)
             if rank is None:
                 assert not np.any(hankel[0])
                 assert s[0] > 0
@@ -512,6 +568,38 @@ class TestEstimateChannel:
         # pencils take the Lanczos path.
         assert len(report.lanczos_steps_phase3) == report.aoas.size
         assert all(0 < k <= 32 for k in report.lanczos_steps_phase3)
+
+    def test_snapshots_drawn_in_beam_order(self, monkeypatch):
+        # Each phase takes all of its snapshots before fitting them as one
+        # stack.  The oracle's noise still goes out one beam at a time in
+        # probing order: replaying the beams on a fresh oracle of the same
+        # seed, after the same phase-1 sweep, returns the same snapshots.
+        cfg = EstimationConfig(l_ma=128, l_sm=16, keep=5, n_bb_ma=16, n_bb_sm=4)
+        h = assemble_channel(MACRO, SMALL, separated_paths(19, 4))
+        calls = []
+        snapshot = ChannelOracle.snapshot
+
+        def recording(self, beam, n_chains, receive=True):
+            result = snapshot(self, beam, n_chains, receive)
+            calls.append((beam, n_chains, receive, result))
+            return result
+
+        monkeypatch.setattr(ChannelOracle, "snapshot", recording)
+        report = estimate_channel(ChannelOracle(h, 0.01, np.random.default_rng(20)), MACRO, SMALL, cfg)
+        monkeypatch.setattr(ChannelOracle, "snapshot", snapshot)
+        replay = ChannelOracle(h, 0.01, np.random.default_rng(20))
+        tx_cb, rx_cb = dft_codebook(MACRO, cfg.l_ma), dft_codebook(SMALL, cfg.l_sm)
+        kept = estimation._strongest_tx_beams(replay, tx_cb, rx_cb, cfg.keep)
+        beams = [(tx_cb.beams[:, i], cfg.n_bb_sm, True) for i in kept]
+        beams += [(steering_vector(SMALL, aoa), cfg.n_bb_ma, False) for aoa in report.aoas]
+        assert len(calls) == len(beams) == cfg.keep + report.aoas.size
+        slots = 0
+        for (beam, n_chains, receive, (snap, used)), want in zip(calls, beams):
+            assert np.array_equal(beam, want[0]) and (n_chains, receive) == want[1:]
+            want_snap, want_used = replay.snapshot(*want)
+            assert np.array_equal(snap, want_snap) and used == want_used
+            slots += used
+        assert report.training_slots_used == cfg.l_ma * cfg.l_sm + slots
 
     def test_paired_paths_bounded(self):
         paths = separated_paths(13, 4)
