@@ -186,6 +186,8 @@ def cmd_factorize(args) -> int:
         print(f"  residual <= 0.1:    {np.mean(residuals <= 0.1) * 100:.1f}%")
         print(f"  iterated targets:   median {median} iterations, "
               f"{np.sum(iterations >= cap)} at max_iterations ({cap})")
+        print(f"  pseudoinverse steps: {sum(r.pinv_steps for r in results)} "
+              f"of {sum(r.iterations_used for r in results)}")
     write_manifest(out_dir, _config_bytes(args, scenarios), cfg.master_seed, [])
     return 0
 

@@ -2,15 +2,24 @@
 
 A target matrix is approximated by a small digital matrix times an
 analog matrix whose entries all share one modulus (a phase-shifter
-network can only rotate).  The alternating iteration copies phases into
-the analog stage, then refits the digital stage by least squares, then
-refreshes the phase-copy target through the inverse of the square
-digital stage.  Both steps solve R x R systems: the least-squares refit
-uses the normal equations of the full-row-rank analog stage, and a
-pseudoinverse is taken only when one of the R x R matrices is too
-ill-conditioned (or, for a rank-deficient target, singular) to invert
-accurately.  The iteration is not provably monotone, so the best
-iterate seen is returned rather than the last.
+network can only rotate).  This is the phase-extraction alternating
+minimization of Yu, Shen, Zhang & Letaief (IEEE JSTSP 2016): each step
+copies phases into the analog stage, then refits the digital stage by
+least squares, then refreshes the phase-copy target through the inverse
+of the square digital stage.
+
+A step stacks the target T over the analog stage A, so one product
+gives both the cross term M = T A^H and the Gram matrix G = A A^H, and
+one batched inverse of that R x R pair gives the normal-equations refit
+``digital = M inv(G)`` and the refreshed target ``inv(digital) @ T =
+G inv(M) @ T``.  A pseudoinverse is taken only when one of the pair is
+too ill-conditioned (or, for a rank-deficient target, singular) to
+invert accurately.  The phase copy divides each entry by its magnitude
+rather than taking its angle.  Inside the loop the residual comes from
+the normal equations, ``||T - digital A||^2 = ||T||^2 - Re tr(digital^H
+M)``; the returned iterate's residual is recomputed from its factors.
+The iteration is not provably monotone, so the best iterate seen is
+returned rather than the last.
 
 The analog modulus is ``1/sqrt(N)`` for N elements; the digital refit
 absorbs any other scale.  The iteration stops once the best residual
@@ -65,6 +74,7 @@ class HybridPrecoder:
     modulus: float
     residual: float
     iterations_used: int
+    pinv_steps: int  # steps whose refit or refreshed target took a pseudoinverse
 
 
 @dataclass
@@ -76,30 +86,38 @@ class HybridCombiner:
     modulus: float
     residual: float
     iterations_used: int
+    pinv_steps: int  # steps whose refit or refreshed target took a pseudoinverse
 
 
-def phase_project(m: np.ndarray, modulus: float) -> np.ndarray:
+# The smallest normal float: a magnitude of at least this (times the
+# modulus, when that exceeds one) leaves ``modulus / magnitude`` finite.
+_TINY = np.finfo(float).tiny
+
+
+def phase_project(m: np.ndarray, modulus: float, out: np.ndarray | None = None) -> np.ndarray:
     """Keep each entry's phase but force its magnitude to ``modulus``.
 
-    Zero entries map to ``modulus`` with phase 0 (``np.angle(0) == 0``),
-    which keeps the projection deterministic.
+    Scales each entry by ``modulus / |entry|``, into ``out`` when given.
+    Entries too small to divide by (zero or subnormal) take their phase
+    from ``np.angle`` instead, so zero entries map to ``modulus`` with
+    phase 0, which keeps the projection deterministic.
     """
-    theta = np.angle(m)
-    projected = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=projected.real)
-    np.sin(theta, out=projected.imag)
-    projected *= modulus
-    return projected
+    m = np.asarray(m, dtype=complex)
+    magnitude = np.abs(m)
+    if magnitude.min(initial=np.inf) >= _TINY * max(1.0, modulus):
+        return np.multiply(m, modulus / magnitude, out=out)
+    return np.multiply(np.exp(1j * np.angle(m)), modulus, out=out)
 
 
 # An R x R inverse stands in for a pseudoinverse only while it is well
 # conditioned: the largest entry of the matrix times the largest entry
 # of its inverse (within a factor R**2 of the condition number) must not
-# exceed _MAX_COND.  The Gram matrix squares the analog stage's condition
+# exceed _MAX_COND.  Each step tests the Gram matrix A A^H and the cross
+# term T A^H.  The Gram matrix squares the analog stage's condition
 # number, which climbs past 1e5 on slowly converging link runs, where
-# its normal equations would lose digits; rank-deficient targets make
-# both matrices singular.  Such steps take the pseudoinverse; they are
-# rare on the link (2 of 48646 refits over 120 fig5 draws).
+# its normal equations would lose digits; a rank-deficient target makes
+# the cross term singular.  Such steps take the pseudoinverse; they are
+# rare on the link (7 of 53087 steps over 320 fig5 draws).
 _MAX_COND = 1e4
 
 # Steps over which the best residual must fall by more than
@@ -122,21 +140,48 @@ def _inverse(m: np.ndarray) -> np.ndarray | None:
     return inverse if np.abs(inverse).max() <= _MAX_COND / np.abs(m).max() else None
 
 
-def _refit_digital(target: np.ndarray, analog: np.ndarray) -> np.ndarray:
-    """Least-squares ``target @ pinv(analog)`` from the R x R normal equations."""
-    analog_h = analog.conj().T
-    gram_inv = _inverse(analog @ analog_h)
-    if gram_inv is None:
-        return target @ np.linalg.pinv(analog)
-    return target @ analog_h @ gram_inv
+def _pair_inverse(pair: np.ndarray) -> np.ndarray | None:
+    """Batched inverse of the (cross, gram) pair, or None unless both are well conditioned.
+
+    Each matrix takes the :func:`_inverse` test.
+    """
+    try:
+        inverses = np.linalg.inv(pair)
+    except np.linalg.LinAlgError:
+        return None
+    cross_max, gram_max = np.abs(pair).reshape(2, -1).max(axis=1).tolist()
+    cross_inv_max, gram_inv_max = np.abs(inverses).reshape(2, -1).max(axis=1).tolist()
+    if cross_inv_max <= _MAX_COND / cross_max and gram_inv_max <= _MAX_COND / gram_max:
+        return inverses
+    return None
 
 
-def _refresh_shadow(digital: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Phase-copy target ``inv(digital) @ target`` for the square digital stage."""
-    digital_inv = _inverse(digital)
-    if digital_inv is None:
-        return np.linalg.pinv(digital) @ target
-    return digital_inv @ target
+def _step(target: np.ndarray, shadow: np.ndarray, modulus: float) -> tuple:
+    """One alternating step from the phase-copy target ``shadow``.
+
+    Returns the analog stage (the phase copy of ``shadow``), the
+    least-squares digital stage for it, the fit ``Re tr(digital^H
+    target analog^H)`` (the squared residual is ``||target||_F^2`` less
+    the fit), the next phase-copy target ``inv(digital) @ target`` and
+    whether a pseudoinverse stood in for an inverse.
+    """
+    n_streams = target.shape[0]
+    stack = np.empty((2 * n_streams, target.shape[1]), dtype=complex)
+    stack[:n_streams] = target
+    analog = phase_project(shadow, modulus, out=stack[n_streams:])
+    # The cross term target @ analog^H over the Gram matrix analog @ analog^H.
+    pair = (stack @ analog.conj().T).reshape(2, n_streams, n_streams)
+    cross, gram = pair
+    inverses = _pair_inverse(pair)
+    if inverses is not None:
+        # cross @ inv(gram), and inv(cross @ inv(gram)) = gram @ inv(cross).
+        digital, lift = pair @ inverses[::-1]
+        shadow = lift @ target
+    else:
+        gram_inv = _inverse(gram)
+        digital = target @ np.linalg.pinv(analog) if gram_inv is None else cross @ gram_inv
+        shadow = np.linalg.pinv(digital) @ target
+    return analog, digital, float(np.vdot(digital, cross).real), shadow, inverses is None
 
 
 def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
@@ -146,12 +191,14 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
     Starts the phase-copy shadow at ``start`` (R, N), or at the target
     itself when ``start`` is None, alternates the three update steps,
     and records the relative residual ``||target - digital @ analog||_F
-    / ||target||_F`` after each digital refit.  Stops at
-    ``max_iterations``, or once the lowest relative residual so far is
-    at most ``_STALL_TOLERANCE`` or has fallen by at most
-    ``_STALL_WINDOW * _STALL_TOLERANCE`` (an absolute change) over the
-    last ``_STALL_WINDOW`` steps; the lowest-residual iterate is
-    returned.
+    / ||target||_F`` after each digital refit, from the normal
+    equations.  Stops at ``max_iterations``, or once the lowest
+    relative residual so far is at most ``_STALL_TOLERANCE`` or has
+    fallen by at most ``_STALL_WINDOW * _STALL_TOLERANCE`` (an absolute
+    change) over the last ``_STALL_WINDOW`` steps.  Returns the
+    lowest-residual iterate, with its residual recomputed from its
+    factors and ``pinv_steps`` counting the steps that took a
+    pseudoinverse.
 
     Raises
     ------
@@ -178,14 +225,15 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
         shadow = np.asarray(start, dtype=complex)
         if shadow.shape != target.shape:
             raise ValueError(f"start must have the target's shape {target.shape}")
+    target_energy = float(np.vdot(target, target).real)
     best_digital = best_analog = None
     best_residual = np.inf
     best_history = []
-    iterations = 0
+    iterations = pinv_steps = 0
     for iterations in range(1, opts.max_iterations + 1):
-        analog = phase_project(shadow, modulus)
-        digital = _refit_digital(target, analog)
-        residual = np.linalg.norm(target - digital @ analog) / target_norm
+        analog, digital, fit, next_shadow, took_pinv = _step(target, shadow, modulus)
+        pinv_steps += took_pinv
+        residual = max(target_energy - fit, 0.0) ** 0.5 / target_norm
         if residual < best_residual:
             best_digital, best_analog, best_residual = digital, analog, residual
         best_history.append(best_residual)
@@ -195,14 +243,15 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
                 and best_history[-_STALL_WINDOW - 1] - best_residual
                 <= _STALL_WINDOW * _STALL_TOLERANCE):
             break
-        shadow = _refresh_shadow(digital, target)
+        shadow = next_shadow
 
     return HybridPrecoder(
         digital=best_digital,
         analog=best_analog,
         modulus=modulus,
-        residual=float(best_residual),
+        residual=float(np.linalg.norm(target - best_digital @ best_analog) / target_norm),
         iterations_used=iterations,
+        pinv_steps=pinv_steps,
     )
 
 
@@ -224,4 +273,5 @@ def factorize_combiner(target: np.ndarray, opts: FactorizeOptions | None = None,
         modulus=result.modulus,
         residual=result.residual,
         iterations_used=result.iterations_used,
+        pinv_steps=result.pinv_steps,
     )

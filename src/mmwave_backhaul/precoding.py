@@ -83,15 +83,16 @@ class MuExactSet:
 def _fix_phases(u: np.ndarray, v: np.ndarray) -> None:
     # Make each left singular vector's first non-negligible entry real
     # positive (and rotate the right vector to match) so the factorization
-    # is deterministic across LAPACK backends.
-    for i in range(u.shape[1]):
-        col = u[:, i]
-        mags = np.abs(col)
-        idx = int(np.argmax(mags > 1e-12 * mags.max()))
-        ref = col[idx]
-        phase = ref / abs(ref)
-        u[:, i] = col * np.conj(phase)
-        v[:, i] = v[:, i] * np.conj(phase)
+    # is deterministic across LAPACK backends.  All columns at once, bit
+    # for bit the per-column loop: hypot rounds as the scalar abs() does
+    # (np.abs of an array need not), and each column is scaled as a row of
+    # the transpose (a one-element ``u *= rotation`` rounds differently).
+    mags = np.abs(u.T, order="C")
+    first = (mags > 1e-12 * mags.max(axis=1, keepdims=True)).argmax(axis=1)
+    ref = u[first, np.arange(u.shape[1])]
+    rotation = np.conj(ref / np.hypot(ref.real, ref.imag))[:, np.newaxis]
+    u[...] = (u.T * rotation).T
+    v[...] = (v.T * rotation).T
 
 
 def truncated_svd(h: np.ndarray, rank: int) -> TruncatedSvd:

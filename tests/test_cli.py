@@ -380,6 +380,7 @@ class TestCliEndToEnd:
         assert proc.stdout.count("relative residual") == 2
         assert proc.stdout.count("at max_iterations (600)") == 2
         assert proc.stdout.count("iterated targets:   median ") == 2
+        assert proc.stdout.count("pseudoinverse steps: ") == 2
 
     def test_factorize_uses_config_trials(self, tmp_path):
         cfg = self.write_config(tmp_path)  # trials: 2, k_users: 2

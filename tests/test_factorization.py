@@ -17,7 +17,7 @@ from mmwave_backhaul import (
     steering_matrix,
     truncated_svd,
 )
-from mmwave_backhaul.factorization import _refit_digital, _refresh_shadow
+from mmwave_backhaul.factorization import _STALL_TOLERANCE, _STALL_WINDOW, _step
 from mmwave_backhaul.simulation import _LINK_FACTORIZE_OPTS
 
 
@@ -57,11 +57,33 @@ def residual_trajectory(target, steps):
     modulus = 1.0 / np.sqrt(target.shape[1])
     shadow, residuals = target, []
     for _ in range(steps):
-        analog = phase_project(shadow, modulus)
-        digital = _refit_digital(target, analog)
+        analog, digital, _, shadow, _ = _step(target, shadow, modulus)
         residuals.append(np.linalg.norm(target - digital @ analog) / target_norm)
-        shadow = _refresh_shadow(digital, target)
     return np.array(residuals)
+
+
+def textbook_factorize(target, max_iterations):
+    """The alternating iteration in its plain form, with the same stopping rule.
+
+    Phases from cos/sin of the angle, the digital refit ``target @
+    pinv(analog)`` and the next phase-copy target ``pinv(digital) @
+    target``; returns the steps taken and the best relative residual.
+    """
+    target_norm = np.linalg.norm(target)
+    modulus = 1.0 / np.sqrt(target.shape[1])
+    shadow, best, history = target, np.inf, []
+    for step in range(1, max_iterations + 1):
+        theta = np.angle(shadow)
+        analog = modulus * (np.cos(theta) + 1j * np.sin(theta))
+        digital = target @ np.linalg.pinv(analog)
+        best = min(best, np.linalg.norm(target - digital @ analog) / target_norm)
+        history.append(best)
+        if best <= _STALL_TOLERANCE or (
+                step > _STALL_WINDOW
+                and history[-_STALL_WINDOW - 1] - best <= _STALL_WINDOW * _STALL_TOLERANCE):
+            break
+        shadow = np.linalg.pinv(digital) @ target
+    return step, best
 
 
 def rank_deficient_targets():
@@ -200,6 +222,9 @@ class TestFactorize:
             warnings.simplefilter("error")
             result = factorize(target, opts)
         assert pinv_calls
+        # A step takes one pseudoinverse for the refreshed target, and one
+        # more when the refit needs it too.
+        assert result.pinv_steps <= len(pinv_calls) <= 2 * result.pinv_steps
         assert np.all(np.isfinite(result.digital)) and np.all(np.isfinite(result.analog))
         assert result.residual <= first + 1e-12
 
@@ -232,6 +257,16 @@ class TestFactorize:
             for new, old in pairs:
                 assert new.iterations_used == old.iterations_used
                 assert abs(new.residual - old.residual) <= 1e-9 * old.residual
+
+    @pytest.mark.parametrize("n_paths", [5, 6])
+    def test_iterated_link_targets_follow_the_textbook_iteration(self, n_paths):
+        for seed in range(20):
+            _, _, svd = path_svd(512, 32, n_paths, 4, seed=seed)
+            for target in (svd.left.conj().T, svd.right.conj().T):
+                result = factorize(target, _LINK_FACTORIZE_OPTS)
+                steps, residual = textbook_factorize(target, _LINK_FACTORIZE_OPTS.max_iterations)
+                assert result.iterations_used == steps > 1
+                assert abs(result.residual - residual) <= 1e-9 * residual
 
     @pytest.mark.parametrize("n_paths, seed", [(6, 16), (5, 25)])
     def test_plateaued_oscillating_combiner_stops_early(self, n_paths, seed):

@@ -20,7 +20,7 @@ from mmwave_backhaul import (
     steering_matrix,
     truncated_svd,
 )
-from mmwave_backhaul.precoding import _block_diag
+from mmwave_backhaul.precoding import _block_diag, _fix_phases
 
 
 def random_channel(n_tx, n_rx, n_paths, seed):
@@ -76,6 +76,33 @@ class TestTruncatedSvd:
             lead = col[np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())]
             assert abs(lead.imag) <= 1e-12 * abs(lead)
             assert lead.real > 0
+
+    @pytest.mark.parametrize("n_tx, n_rx, rank", [(512, 32, 4), (32, 32, 32), (32, 512, 4),
+                                                  (5, 3, 3), (1, 7, 1), (7, 1, 1), (1, 1, 1)])
+    def test_fix_phases_is_the_per_column_loop(self, n_tx, n_rx, rank):
+        def loop(u, v):
+            for i in range(u.shape[1]):
+                col = u[:, i]
+                mags = np.abs(col)
+                ref = col[int(np.argmax(mags > 1e-12 * mags.max()))]
+                phase = ref / abs(ref)
+                u[:, i] = col * np.conj(phase)
+                v[:, i] = v[:, i] * np.conj(phase)
+
+        rng = np.random.default_rng([91, n_tx, rank])
+        for _ in range(20):
+            u = rng.standard_normal((n_tx, rank)) + 1j * rng.standard_normal((n_tx, rank))
+            v = rng.standard_normal((n_rx, rank)) + 1j * rng.standard_normal((n_rx, rank))
+            # Leading entries of some columns fall below the 1e-12 cut, one
+            # of them just above it.
+            for col in range(0, rank, 2):
+                lead = int(rng.integers(0, n_tx))
+                u[:lead, col] *= 1e-13 * rng.random(lead)
+            u[0, rank - 1] = 2e-12 * np.abs(u[:, rank - 1]).max()
+            expected_u, expected_v = u.copy(), v.copy()
+            loop(expected_u, expected_v)
+            _fix_phases(u, v)
+            assert np.array_equal(u, expected_u) and np.array_equal(v, expected_v)
 
     def test_rank_out_of_range(self):
         h = np.eye(4, 3, dtype=complex)
