@@ -25,7 +25,7 @@ import numpy as np
 from .channel import PathDistribution, singular_energy_profile
 from .config import PRESET_NAMES, parse_config, preset_scenarios, render_config
 from .errors import ConfigError
-from .estimation import _KRYLOV_PER_ORDER
+from .estimation import _KRYLOV_PER_ORDER, _order_cap
 from .output import RankProfileTable, emit_csv, write_manifest
 from .simulation import (
     CapacityResult,
@@ -152,7 +152,7 @@ def cmd_estimate_demo(args) -> int:
     steps = [k for k in report.lanczos_steps_phase3 if k]
     mean_steps = f"{np.mean(steps):.1f}" if steps else "-"
     # A pencil that never met the stop rule ran the whole Krylov depth.
-    depth = _KRYLOV_PER_ORDER * min(cfg.estimation.max_paths, cfg.n_ma // 2)
+    depth = _KRYLOV_PER_ORDER * _order_cap(cfg.n_ma)
     print(f"departure pencils: {len(report.lanczos_steps_phase3)} "
           f"(mean Lanczos steps {mean_steps}, {steps.count(depth)} at the full depth {depth}, "
           f"dense SVD fallbacks {len(report.lanczos_steps_phase3) - len(steps)})")

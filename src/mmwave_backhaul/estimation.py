@@ -65,16 +65,6 @@ class LineSpectrum:
     residual: float = 0.0
     lanczos_steps: int = 0
 
-    def __post_init__(self):
-        self.frequencies = np.atleast_1d(np.asarray(self.frequencies, dtype=float))
-        self.coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
-        if self.frequencies.size != self.coefficients.size:
-            raise ValueError("frequencies and coefficients must have equal length")
-        if self.frequencies.size > 1:
-            gaps = np.diff(np.sort(self.frequencies))
-            if np.any(gaps <= 1e-9):
-                raise ValueError("frequencies must be pairwise distinct")
-
     @property
     def order(self) -> int:
         return self.frequencies.size
@@ -82,12 +72,14 @@ class LineSpectrum:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Pipeline knobs: codebook sizes, kept beams, chain counts, thresholds.
+    """Pipeline knobs: codebook sizes, kept beams, chain counts, observation SNR.
 
     ``snr_db`` is the observation SNR used by callers that build the
     measurement oracle (relative to the mean power of one channel
     entry); the pipeline itself never adds noise.  In a scenario the
-    chain counts and the path loss are the scenario's own.
+    chain counts and the path loss are the scenario's own.  The pencil's
+    rank threshold, the path cap and the merge tolerance are fixed: see
+    ``_RANK_THRESHOLD``, ``_MAX_PATHS`` and :func:`_directions`.
 
     The codebook defaults suit a 512-element macro and 32-element
     small-cell array: critically sampled grids keep the worst-case beam
@@ -99,22 +91,15 @@ class EstimationConfig:
     l_sm: int = 32
     keep: int = 8
     snr_db: float = 20.0
-    rank_threshold: float = 1e-2
-    max_paths: int = 8
-    merge_tol: float | None = None
     # These follow the scenario's chains and path loss, so they are not config keys.
     n_bb_ma: int = field(default=16, metadata={"config_key": False})
     n_bb_sm: int = field(default=4, metadata={"config_key": False})
     path_loss: float = field(default=1.0, metadata={"config_key": False})
 
     def __post_init__(self):
-        for name in ("l_ma", "l_sm", "keep", "n_bb_ma", "n_bb_sm", "max_paths"):
+        for name in ("l_ma", "l_sm", "keep", "n_bb_ma", "n_bb_sm"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0 < self.rank_threshold < 1:
-            raise ValueError("rank_threshold must be in (0, 1)")
-        if self.merge_tol is not None and self.merge_tol <= 0:
-            raise ValueError("merge_tol must be positive")
         if self.path_loss <= 0:
             raise ValueError("path_loss must be positive")
         if not 0.0 < _db_to_linear(self.snr_db) < np.inf:
@@ -696,6 +681,18 @@ def _dominant_pairs(coupling: np.ndarray):
             for k in flat_order[:n_pairs]]
 
 
+# The pencil keeps the singular values at or above this fraction of the
+# largest, and the merge drops detections this far below the strongest.
+_RANK_THRESHOLD = 1e-2
+# Merged directions per array, and the pencil's model-order cap.
+_MAX_PATHS = 8
+
+
+def _order_cap(n: int) -> int:
+    """The pencil's model-order cap on an ``n``-element snapshot."""
+    return min(_MAX_PATHS, n // 2)
+
+
 def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry,
                 n_chains: int, cfg: EstimationConfig):
     """Merged path directions at one array, one snapshot per beam.
@@ -705,20 +702,19 @@ def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry
     receiver and ``geom`` is the transmit array, whose snapshot is the
     conjugate of the oracle's.  Every snapshot is taken first, in beam
     order, and the pencil then fits them as one stack.  The pencil's
-    order is capped at ``min(max_paths, n // 2)`` and detections merge
-    within ``merge_tol`` (default ``0.25 / n``).  Returns ``(snapshots,
+    order is capped at :func:`_order_cap` and detections merge within a
+    quarter of the array's resolution, ``0.25 / n``.  Returns ``(snapshots,
     angles, slots, lanczos_steps)`` with the snapshots as the oracle
     returned them and each pencil's ``lanczos_steps``.
     """
     n = geom.n_elements
-    order = min(cfg.max_paths, n // 2)
-    tol = cfg.merge_tol if cfg.merge_tol is not None else 0.25 / n
     snapshots, slots = zip(*(oracle.snapshot(beam, n_chains, receive) for beam in beams))
     stack = np.array(snapshots)
-    spectra = line_spectrum_estimate(stack if receive else stack.conj(), order, cfg.rank_threshold)
+    spectra = line_spectrum_estimate(stack if receive else stack.conj(), _order_cap(n),
+                                     _RANK_THRESHOLD)
     detections = [detection for spectrum in spectra
                   for detection in zip(spectrum.frequencies, np.abs(spectrum.coefficients))]
-    freqs = _merge_frequencies(detections, tol, cfg.max_paths, cfg.rank_threshold)
+    freqs = _merge_frequencies(detections, 0.25 / n, _MAX_PATHS, _RANK_THRESHOLD)
     if freqs.size == 0:
         side = "arrival" if receive else "departure"
         raise EstimationFailedError(f"no {side} directions detected")

@@ -32,7 +32,6 @@ __all__ = [
     "allocate_power",
 ]
 
-_ORTHO_TOL = 1e-10
 _MAX_CONDITION = 1e12
 
 
@@ -43,7 +42,9 @@ class TruncatedSvd:
     ``left`` is (n_tx, R) and ``right`` is (n_rx, R), both with
     orthonormal columns; ``sigmas`` holds the R leading singular values
     in non-increasing order.  Trailing sigmas may be numerically zero
-    when R exceeds the matrix rank.
+    when R exceeds the matrix rank.  :func:`truncated_svd` and
+    :func:`factored_svd` build the factors from an SVD and QRs, so their
+    orthonormality is not re-checked here.
     """
 
     left: np.ndarray
@@ -58,10 +59,6 @@ class TruncatedSvd:
         r = self.rank_used
         if self.left.shape[1] != r or self.right.shape[1] != r or self.sigmas.shape != (r,):
             raise ValueError("factor shapes do not match rank_used")
-        for name, mat in (("left", self.left), ("right", self.right)):
-            gram = mat.conj().T @ mat
-            if np.max(np.abs(gram - np.eye(r))) > _ORTHO_TOL:
-                raise ValueError(f"{name} factor columns are not orthonormal")
         if np.any(np.diff(self.sigmas) > 0) or np.any(self.sigmas < 0):
             raise ValueError("sigmas must be non-negative and non-increasing")
 

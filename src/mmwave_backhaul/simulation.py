@@ -31,8 +31,9 @@ paths from substream ``(trial, 0)``, :func:`_trial_estimates` estimates
 their channels with training noise from ``(trial, 1)``, and
 :func:`_trial_links` builds every scheme's link from them.
 
-SNR is defined as total transmit budget over the (unit) noise variance;
-channels have unit mean path power, so the axes are self-consistent.
+The noise variance is fixed at 1, so SNR is the total transmit budget:
+an SNR of s dB is a budget of ``10**(s/10)``.  Channels have unit mean
+path power, so the axes are self-consistent.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ class ScenarioConfig:
     l_max: int = 6
     spacing: float = 0.5
     path_loss: float = 1.0
-    noise_var: float = 1.0
     snr_grid_db: tuple[float, ...] = _DEFAULT_SNR_GRID
     trials: int = 100
     schemes: tuple[str, ...] = ("hybrid_ideal", "full_digital")
@@ -148,8 +148,6 @@ class ScenarioConfig:
         if not np.isfinite(np.sqrt(self.n_ma * self.n_sm / self.path_loss)):
             raise ConfigValidationError(
                 "path_loss must keep the steering scale sqrt(elements / path_loss) finite")
-        if self.noise_var <= 0:
-            raise ConfigValidationError("noise_var must be positive")
         if not self.snr_grid_db:
             raise ConfigValidationError("snr_grid_db must be a non-empty list")
         self.budgets()  # each budget must be finite and positive
@@ -196,10 +194,10 @@ class ScenarioConfig:
 
     def budgets(self) -> np.ndarray:
         """Transmit budget at each grid SNR; ConfigValidationError unless all are finite, > 0."""
-        budgets = np.array([self.noise_var * _db_to_linear(snr) for snr in self.snr_grid_db])
+        budgets = np.array([_db_to_linear(snr) for snr in self.snr_grid_db])
         if not np.all((budgets > 0) & (budgets < np.inf)):
             raise ConfigValidationError("snr_grid_db must give finite, positive transmit "
-                                        "budgets, the noise variance times 10**(dB/10)")
+                                        "budgets 10**(dB/10)")
         return budgets
 
 
@@ -335,7 +333,7 @@ class _Link:
         return [slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
 
-def _build_link(design, truth, max_streams, noise_var, factorized) -> _Link:
+def _build_link(design, truth, max_streams, factorized) -> _Link:
     # Each user gets one stream per non-zero singular value of its design
     # channel, up to max_streams.
     svds = [factored_svd(c.a_tx, c.coeffs, c.a_rx, max_streams) for c in design]
@@ -363,9 +361,10 @@ def _build_link(design, truth, max_streams, noise_var, factorized) -> _Link:
     p_d, cond = mu_digital_precoder(p_tilde_d, p_a, u_tilde)
     composite = (p_d @ p_tilde_d @ p_a).conj().T
 
-    # Each user's combined noise covariance, factored once; numpy's
-    # LinAlgError (a ValueError) reports one that is not positive definite.
-    covs = [noise_var * (c.conj().T @ c) for c in combiners]
+    # Each user's combined noise covariance (unit noise variance), factored
+    # once; numpy's LinAlgError (a ValueError) reports one that is not
+    # positive definite.
+    covs = [c.conj().T @ c for c in combiners]
     chols = [np.linalg.cholesky(0.5 * (n + n.conj().T)) for n in covs]
 
     # With hybrid factors the per-user link through the zero-forcing stage
@@ -454,8 +453,7 @@ def _link_capacities(link: _Link, budgets: np.ndarray, allocation: str) -> np.nd
     return _sum_capacity(link, link.w_true, powers)
 
 
-def full_digital_baseline(channels, snr_db: float, allocation: str = "waterfilling",
-                          noise_var: float = 1.0) -> float:
+def full_digital_baseline(channels, snr_db: float, allocation: str = "waterfilling") -> float:
     """Sum capacity of the exact zero-forcing design.
 
     Every user keeps one stream per non-zero singular value of its
@@ -472,9 +470,8 @@ def full_digital_baseline(channels, snr_db: float, allocation: str = "waterfilli
     if len(channels) * n_rx > channels[0].shape[0]:
         raise ValueError("full-digital design needs k_users*n_rx <= n_tx")
     users = [_UserChannel.from_matrix(h) for h in channels]
-    link = _build_link(users, users, n_rx, noise_var, factorized=False)
-    budget = noise_var * 10.0 ** (snr_db / 10.0)
-    return float(_link_capacities(link, np.array([budget]), allocation)[0])
+    link = _build_link(users, users, n_rx, factorized=False)
+    return float(_link_capacities(link, np.array([_db_to_linear(snr_db)]), allocation)[0])
 
 
 def _trial_paths(cfg: ScenarioConfig, trial: int) -> list:
@@ -502,19 +499,13 @@ def _trial_links(cfg: ScenarioConfig, trial: int) -> dict:
 
     links = {}
     if "hybrid_ideal" in cfg.schemes:
-        links["hybrid_ideal"] = _build_link(
-            truth, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
-        )
+        links["hybrid_ideal"] = _build_link(truth, truth, cfg.n_bb_sm, factorized=True)
     if "hybrid_estimated" in cfg.schemes:
         estimates = [_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths)
                      for _, report in _trial_estimates(cfg, trial, paths)]
-        links["hybrid_estimated"] = _build_link(
-            estimates, truth, cfg.n_bb_sm, cfg.noise_var, factorized=True
-        )
+        links["hybrid_estimated"] = _build_link(estimates, truth, cfg.n_bb_sm, factorized=True)
     if "full_digital" in cfg.schemes:
-        links["full_digital"] = _build_link(
-            truth, truth, cfg.n_sm, cfg.noise_var, factorized=False
-        )
+        links["full_digital"] = _build_link(truth, truth, cfg.n_sm, factorized=False)
     return links
 
 

@@ -39,10 +39,8 @@ n_bb_sm: 2
 """
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# dB values whose linear ratios, and noise variances whose budgets over
-# such SNRs, are finite and positive.
+# dB values whose linear ratios are finite and positive.
 DECIBELS = st.floats(-300.0, 300.0)
-NOISE_VARS = st.floats(1e-250, 1e250)
 # Path losses whose steering scale, and observation noise variance over
 # such SNRs, are finite.
 PATH_LOSSES = st.floats(1e-250, 1e250)
@@ -52,9 +50,6 @@ ESTIMATIONS = st.builds(
     EstimationConfig,
     l_ma=COUNTS, l_sm=COUNTS, keep=COUNTS,
     snr_db=DECIBELS,
-    rank_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    max_paths=COUNTS,
-    merge_tol=st.none() | POSITIVE,
 )
 
 
@@ -75,7 +70,7 @@ def scenarios(draw):
         n_ma=draw(st.integers(n_ma_min, 1024)), n_sm=n_sm, k_users=k_users,
         n_bb_ma=n_bb_ma, n_bb_sm=n_bb_sm,
         k_factor_db=draw(DECIBELS), l_min=l_min, l_max=draw(st.integers(l_min, 12)),
-        spacing=draw(POSITIVE), path_loss=draw(PATH_LOSSES), noise_var=draw(NOISE_VARS),
+        spacing=draw(POSITIVE), path_loss=draw(PATH_LOSSES),
         snr_grid_db=tuple(draw(st.lists(DECIBELS, min_size=1, max_size=5))),
         trials=draw(st.integers(1, 10**6)), schemes=schemes,
         allocation=draw(st.sampled_from(ALLOCATIONS)), estimation=estimation,
@@ -88,7 +83,6 @@ class TestParseConfig:
         cfg = parse_config_text(MINIMAL)
         assert cfg.spacing == 0.5
         assert cfg.path_loss == 1.0
-        assert cfg.noise_var == 1.0
         assert (cfg.l_min, cfg.l_max) == (2, 6)
         assert cfg.allocation == "waterfilling"
         assert cfg.estimation is None
@@ -99,8 +93,15 @@ class TestParseConfig:
             parse_config_text(bad)
 
     def test_unknown_key_rejected_with_line(self):
-        with pytest.raises(ConfigValidationError, match="line 6"):
-            parse_config_text(MINIMAL + "beam_count: 7\n")
+        # The noise variance is fixed at 1 and the estimator's rank
+        # threshold, path cap and merge gate are constants: none is a key.
+        for extra, key, line in (("beam_count: 7\n", "beam_count", 6),
+                                 ("noise_var: 1.0\n", "noise_var", 6),
+                                 ("estimation:\n  rank_threshold: 0.01\n", "rank_threshold", 7),
+                                 ("estimation:\n  keep: 8\n  max_paths: 8\n", "max_paths", 8),
+                                 ("estimation:\n  merge_tol: 0.01\n", "merge_tol", 7)):
+            with pytest.raises(ConfigValidationError, match=f"line {line}: unknown .*'{key}'"):
+                parse_config_text(MINIMAL + extra)
 
     def test_syntax_error_category(self):
         with pytest.raises(ConfigSyntaxError):
@@ -138,12 +139,12 @@ class TestParseConfig:
         ("trials: null\n", "trials", 6),
         ("k_factor_db: null\n", "k_factor_db", 6),
         ("spacing: .nan\n", "spacing", 6),
-        ("noise_var: .inf\n", "noise_var", 6),
+        ("noise_var: .inf\n", "noise_var", 6),  # noise_var, merge_tol: unknown keys
         ("k_factor_db: true\n", "k_factor_db", 6),
         ("snr_grid_db: [true, 10]\n", "snr_grid_db", 6),
         ("estimation: {keep: null}\n", "keep", 6),
         ("estimation:\n  snr_db: .nan\n", "snr_db", 7),
-        ("spacing: 0.5\npath_loss: 1.0\nnoise_var: -1\n", "noise_var", 8),
+        ("spacing: 0.5\npath_loss: 1.0\nmaster_seed: -1\n", "master_seed", 8),
         ("estimation:\n  merge_tol: 0\n", "merge_tol", 7),
         ("estimation:\n  merge_tol: -1\n", "merge_tol", 7),
     ])

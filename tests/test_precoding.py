@@ -23,6 +23,14 @@ from mmwave_backhaul import (
 from mmwave_backhaul.precoding import _block_diag, _fix_phases
 
 
+def assert_orthonormal(dec):
+    # Both factors have orthonormal columns; TruncatedSvd does not check it,
+    # as its builders take them from an SVD and QRs.
+    eye = np.eye(dec.rank_used)
+    for factor in (dec.left, dec.right):
+        np.testing.assert_allclose(factor.conj().T @ factor, eye, rtol=0, atol=1e-10)
+
+
 def random_channel(n_tx, n_rx, n_paths, seed):
     rng = np.random.default_rng(seed)
     paths = sample_paths(PathDistribution(n_paths, n_paths), rng)
@@ -40,6 +48,7 @@ class TestTruncatedSvd:
     def test_low_rank_channel_exact(self):
         h = random_channel(32, 8, 4, seed=0)
         dec = truncated_svd(h, 4)
+        assert_orthonormal(dec)
         recon = dec.left @ np.diag(dec.sigmas) @ dec.right.conj().T
         assert np.linalg.norm(h - recon) <= 1e-9 * np.linalg.norm(h)
 
@@ -55,6 +64,7 @@ class TestTruncatedSvd:
         errors = []
         for rank in range(1, 9):
             dec = truncated_svd(h, rank)
+            assert_orthonormal(dec)
             recon = dec.left @ np.diag(dec.sigmas) @ dec.right.conj().T
             errors.append(np.linalg.norm(h - recon))
         assert all(errors[i] >= errors[i + 1] - 1e-12 for i in range(len(errors) - 1))
@@ -130,10 +140,12 @@ class TestFactoredSvd:
                                  np.random.default_rng([71, n_paths, seed]))
             h = assemble_channel(tx, rx, paths)
             dense = truncated_svd(h, 32)
+            assert_orthonormal(dense)
             for max_rank in (4, 32):
                 dec = path_core_svd(tx, rx, paths, max_rank)
                 rank = min(n_paths, max_rank)
                 assert dec.rank_used == rank
+                assert_orthonormal(dec)
                 np.testing.assert_allclose(dec.sigmas, dense.sigmas[:rank], rtol=0,
                                            atol=1e-12 * dense.sigmas[0])
                 assert_same_subspace(dec.left, dense.left[:, :rank])
@@ -150,6 +162,7 @@ class TestFactoredSvd:
         paths = PathSet(gains=[0.8 + 0.1j, -0.3 + 0.5j], **angles)
         dec = path_core_svd(ArrayGeometry(512), ArrayGeometry(32), paths, 4)
         assert dec.rank_used == 1
+        assert_orthonormal(dec)
         h = assemble_channel(ArrayGeometry(512), ArrayGeometry(32), paths)
         np.testing.assert_allclose(dec.sigmas, np.linalg.svd(h, compute_uv=False)[:1], rtol=1e-12)
 
@@ -158,6 +171,7 @@ class TestFactoredSvd:
         dec = factored_svd(h, np.ones(8), np.eye(8, dtype=complex), 8)
         dense = truncated_svd(h, 3)
         assert dec.rank_used == 3
+        assert_orthonormal(dec)
         np.testing.assert_allclose(dec.sigmas, dense.sigmas, rtol=1e-12)
         assert_same_subspace(dec.left, dense.left)
 
@@ -165,6 +179,7 @@ class TestFactoredSvd:
         dec = factored_svd(np.eye(8, 2, dtype=complex), np.zeros(2), np.eye(4, 2, dtype=complex), 4)
         assert dec.rank_used == 1
         assert dec.sigmas[0] == 0.0
+        assert_orthonormal(dec)
 
 
 class TestMuAssemble:
