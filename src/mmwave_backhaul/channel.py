@@ -151,17 +151,49 @@ def sample_paths(dist: PathDistribution, rng: np.random.Generator) -> PathSet:
     The line-of-sight gain is drawn zero-mean complex Gaussian like the
     others; only its mean power differs.  With ``k = 10**(k_factor_db/10)``
     the LOS mean power is ``k / (k + L - 1)`` and each NLOS path gets
-    ``1 / (k + L - 1)``, so the total mean power is exactly 1.
+    ``1 / (k + L - 1)``, so the total mean power is exactly 1.  The
+    stream is one ``integers`` call for the path count L, then the
+    draw's layout (see ``_draw_layout``).
     """
     n_paths = int(rng.integers(dist.l_min, dist.l_max + 1))
-    aods = rng.uniform(0.0, 2.0 * np.pi, n_paths)
-    aoas = rng.uniform(0.0, 2.0 * np.pi, n_paths)
-    k_lin = _db_to_linear(dist.k_factor_db)
+    gains, aods, aoas = _draw_paths(dist.k_factor_db, n_paths, 1, rng)
+    return PathSet(gains=gains[0], aods=aods[0], aoas=aoas[0], path_loss=dist.path_loss)
+
+
+def _gain_scale(k_factor_db: float, n_paths: int) -> np.ndarray:
+    """Per-path gain scale ``sqrt(powers / 2)`` of the law in ``sample_paths``."""
+    k_lin = _db_to_linear(k_factor_db)
     powers = np.full(n_paths, 1.0 / (k_lin + n_paths - 1))
     powers[0] = k_lin / (k_lin + n_paths - 1)
-    scale = np.sqrt(powers / 2.0)
-    gains = scale * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
-    return PathSet(gains=gains, aods=aods, aoas=aoas, path_loss=dist.path_loss)
+    return np.sqrt(powers / 2.0)
+
+
+def _draw_layout(rng: np.random.Generator, angles: np.ndarray, normals: np.ndarray) -> None:
+    """Fill one draw of L paths in place, in stream order: two generator calls.
+
+    ``angles`` (2L,) gets uniforms on [0, 1), the departures' then the
+    arrivals' (``_draw_paths`` scales them by 2*pi); ``normals`` (2L,)
+    gets standard normals, the gains' real parts then their imaginary
+    parts.  Bit for bit, these are the draws of two ``uniform(0, 2*pi,
+    L)`` and two ``standard_normal(L)`` calls.
+    """
+    rng.random(out=angles)
+    rng.standard_normal(out=normals)
+
+
+def _draw_paths(k_factor_db: float, n_paths: int, count: int, rng: np.random.Generator):
+    """``count`` consecutive draws of ``n_paths`` paths each.
+
+    Returns ``(gains, aods, aoas)``, each of shape (count, n_paths): one
+    row per draw, filled by ``_draw_layout`` and then scaled as a whole.
+    """
+    angles = np.empty((count, 2 * n_paths))
+    normals = np.empty((count, 2 * n_paths))
+    for angle_row, normal_row in zip(angles, normals):
+        _draw_layout(rng, angle_row, normal_row)
+    angles *= 2.0 * np.pi
+    gains = _gain_scale(k_factor_db, n_paths) * (normals[:, :n_paths] + 1j * normals[:, n_paths:])
+    return gains, angles[:, :n_paths], angles[:, n_paths:]
 
 
 def assemble_channel(tx: ArrayGeometry, rx: ArrayGeometry, paths: PathSet) -> ChannelMatrix:
@@ -211,9 +243,11 @@ def singular_energy_profile(
     in descending order; the profile is non-negative, non-increasing and
     sums to 1.
 
-    Each draw comes from ``sample_paths`` (the same random stream as
-    assembling the channel).  With ``H ~ A_tx D A_rx^H``, ``D`` the
-    diagonal of gains, the non-zero eigenvalues of ``H H^H`` are those
+    The draws are the same stream as ``sample_paths``, without a
+    ``PathSet`` per draw: ``_draw_paths`` fills a chunk's rows, and the
+    fixed path count's ``integers`` call is skipped because it consumes
+    no generator state.  With ``H ~ A_tx D A_rx^H``, ``D`` the diagonal
+    of gains, the non-zero eigenvalues of ``H H^H`` are those
     of the L x L matrix ``S (D G_rx D^H) S``, where ``G_tx`` and
     ``G_rx`` are the closed-form steering Grams and ``S = G_tx^(1/2)``
     (from ``eigh``, eigenvalues clipped at 0); the
@@ -233,10 +267,10 @@ def singular_energy_profile(
     profile = np.zeros(min(tx.n_elements, rx.n_elements))
     kept = min(dist.l_max, profile.size)
     for start in range(0, trials, _PROFILE_CHUNK):
-        draws = [sample_paths(dist, rng) for _ in range(min(_PROFILE_CHUNK, trials - start))]
-        gains = np.array([p.gains for p in draws])
-        g_tx = _steering_gram(tx, np.array([p.aods for p in draws]))
-        g_rx = _steering_gram(rx, np.array([p.aoas for p in draws]))
+        gains, aods, aoas = _draw_paths(dist.k_factor_db, dist.l_max,
+                                        min(_PROFILE_CHUNK, trials - start), rng)
+        g_tx = _steering_gram(tx, aods)
+        g_rx = _steering_gram(rx, aoas)
         w, v = np.linalg.eigh(g_tx)
         root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
         core = gains[:, :, None] * g_rx * gains.conj()[:, None, :]

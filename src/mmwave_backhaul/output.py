@@ -4,7 +4,8 @@ CSV output is byte-stable: fixed column order, 12 significant digits,
 rows pre-sorted, LF newlines.  Every CLI run writes a manifest holding
 a digest of the exact config it ran so a later re-parse can detect
 drift, the environment the numbers came from (the Python and numpy
-versions and the BLAS thread variables) and the wall time of each stage.
+versions, numpy's BLAS library and its thread variables) and the wall
+time of each stage.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class RunManifest:
     # or to None when it was unset.
     python_version: str = ""
     numpy_version: str = ""
+    # The BLAS library numpy was built against, from numpy.show_config.
+    blas_name: str = ""
+    blas_version: str = ""
     thread_env: dict = field(default_factory=dict)
     # Wall seconds per stage of the run (a path count of rank-profile, a
     # scenario of capacity-sweep); empty for commands without stages.
@@ -97,6 +101,7 @@ def write_manifest(out_dir, config_bytes: bytes, master_seed: int, outputs,
     """Write manifest.json next to the outputs; returns its path."""
     from . import __version__
 
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = RunManifest(
         config_digest=config_digest(config_bytes),
         tool_version=__version__,
@@ -105,6 +110,8 @@ def write_manifest(out_dir, config_bytes: bytes, master_seed: int, outputs,
         outputs=[os.path.basename(os.fspath(p)) for p in outputs],
         python_version=platform.python_version(),
         numpy_version=np.__version__,
+        blas_name=blas.get("name", ""),
+        blas_version=blas.get("version", ""),
         thread_env={name: os.environ.get(name) for name in _THREAD_ENV_VARS},
         stage_seconds=dict(stage_seconds or {}),
     )

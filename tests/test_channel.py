@@ -188,15 +188,16 @@ class TestSingularEnergyProfile:
                              PathDistribution(n_paths, n_paths), 20, 100 + n_paths)
 
     def test_matches_dense_svd_colliding_angles(self, monkeypatch):
-        draw = channel.sample_paths
+        draw = channel._draw_layout
 
-        def colliding(dist, rng):
-            paths = draw(dist, rng)
-            paths.aods[1] = paths.aods[0]
-            paths.aoas[3] = paths.aoas[2]
-            return paths
+        def colliding(rng, angles, normals):
+            draw(rng, angles, normals)
+            angles[1] = angles[0]  # departures 0 and 1 share an angle
+            angles[7] = angles[6]  # arrivals 2 and 3 (entries L + 2, L + 3) too
 
-        monkeypatch.setattr(channel, "sample_paths", colliding)
+        # Both the profile and the dense reference's sample_paths draw
+        # through _draw_layout.
+        monkeypatch.setattr(channel, "_draw_layout", colliding)
         prof = assert_matches_dense(ArrayGeometry(512), ArrayGeometry(32),
                                     PathDistribution(4, 4), 20, 7)
         assert prof[3] <= 1e-12  # two shared ends leave rank 3
@@ -245,6 +246,31 @@ class TestSingularEnergyProfile:
         monkeypatch.setattr(channel, "_PROFILE_CHUNK", 7)
         chunked = singular_energy_profile(tx, rx, dist, 20, np.random.default_rng(11))
         assert np.array_equal(chunked, default)
+
+    @pytest.mark.parametrize("k_factor_db", [0.0, 10.0])
+    @pytest.mark.parametrize("n_paths", range(1, 7))
+    def test_draws_are_the_sample_paths_stream(self, monkeypatch, n_paths, k_factor_db):
+        dist = PathDistribution(n_paths, n_paths, k_factor_db, path_loss=40.0)
+        trials, seed = 5, 60 + n_paths
+        expected_rng = np.random.default_rng(seed)
+        expected = [channel.sample_paths(dist, expected_rng) for _ in range(trials)]
+
+        drawn = []
+        draw = channel._draw_paths
+
+        def recording(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(channel, "_draw_paths", recording)
+        monkeypatch.setattr(channel, "_PROFILE_CHUNK", 2)
+        rng = np.random.default_rng(seed)
+        singular_energy_profile(ArrayGeometry(16), ArrayGeometry(4), dist, trials, rng)
+        for got, field in zip(zip(*drawn), ("gains", "aods", "aoas")):
+            want = np.array([getattr(p, field) for p in expected])
+            assert np.concatenate(got).tobytes() == want.tobytes()  # bit for bit
+        # The skipped integers(L, L + 1) call of a fixed count consumes nothing.
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     def test_requires_fixed_path_count(self):
         tx, rx = ArrayGeometry(8), ArrayGeometry(4)

@@ -259,6 +259,9 @@ class TestManifest:
         manifest = read_manifest(path)
         assert manifest.python_version == platform.python_version()
         assert manifest.numpy_version == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (manifest.blas_name, manifest.blas_version) == (blas["name"], blas["version"])
+        assert manifest.blas_name
         assert manifest.thread_env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
 
     def test_manifest_without_environment_loads(self, tmp_path):
@@ -267,6 +270,7 @@ class TestManifest:
                                     "master_seed": 7, "timestamp": "", "outputs": []}))
         manifest = read_manifest(path)
         assert manifest.python_version == manifest.numpy_version == ""
+        assert manifest.blas_name == manifest.blas_version == ""
         assert manifest.thread_env == {}
         assert manifest.stage_seconds == {}
         assert manifest_matches(manifest, b"")
