@@ -10,7 +10,6 @@ and a reproducible Monte Carlo capacity simulator with a CLI.
 
 from .channel import (
     ArrayGeometry,
-    ChannelMatrix,
     PathDistribution,
     PathSet,
     assemble_channel,
@@ -19,7 +18,7 @@ from .channel import (
     steering_matrix,
     steering_vector,
 )
-from .config import parse_config, parse_config_text, preset_scenarios, render_config
+from .config import PRESET_NAMES, parse_config, parse_config_text, preset_scenarios, render_config
 from .errors import (
     ConfigError,
     ConfigNotFoundError,
@@ -44,13 +43,12 @@ from .estimation import (
 )
 from .factorization import (
     FactorizeOptions,
-    HybridCombiner,
-    HybridPrecoder,
+    HybridFactors,
     factorize,
     factorize_combiner,
     phase_project,
 )
-from .output import RankProfileTable, RunManifest, emit_csv, manifest_matches, read_manifest, write_manifest
+from .output import RankProfileTable, emit_csv, write_manifest
 from .precoding import (
     MuExactSet,
     TruncatedSvd,

@@ -25,16 +25,12 @@ __all__ = [
     "ArrayGeometry",
     "PathSet",
     "PathDistribution",
-    "ChannelMatrix",
     "steering_vector",
     "steering_matrix",
     "sample_paths",
     "assemble_channel",
     "singular_energy_profile",
 ]
-
-# A channel matrix is a plain complex ndarray of shape (n_tx, n_rx).
-ChannelMatrix = np.ndarray
 
 # Draws per stacked pass of singular_energy_profile; memory is
 # O(_PROFILE_CHUNK * L**2) whatever the trial count.
@@ -196,7 +192,12 @@ def _draw_paths(k_factor_db: float, n_paths: int, count: int, rng: np.random.Gen
     return gains, angles[:, :n_paths], angles[:, n_paths:]
 
 
-def assemble_channel(tx: ArrayGeometry, rx: ArrayGeometry, paths: PathSet) -> ChannelMatrix:
+def _channel_scale(n_tx: int, n_rx: int, path_loss: float) -> float:
+    """The steering scale ``sqrt(n_tx*n_rx/path_loss)`` of a channel's paths."""
+    return np.sqrt(n_tx * n_rx / path_loss)
+
+
+def assemble_channel(tx: ArrayGeometry, rx: ArrayGeometry, paths: PathSet) -> np.ndarray:
     """Build the (n_tx, n_rx) channel matrix from a path set.
 
     Returns ``sqrt(n_tx*n_rx/path_loss) * sum_l gains[l] * a_tx(aods[l])
@@ -205,7 +206,7 @@ def assemble_channel(tx: ArrayGeometry, rx: ArrayGeometry, paths: PathSet) -> Ch
     """
     a_tx = steering_matrix(tx, paths.aods)
     a_rx = steering_matrix(rx, paths.aoas)
-    scale = np.sqrt(tx.n_elements * rx.n_elements / paths.path_loss)
+    scale = _channel_scale(tx.n_elements, rx.n_elements, paths.path_loss)
     return scale * ((a_tx * paths.gains) @ a_rx.conj().T)
 
 

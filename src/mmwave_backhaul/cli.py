@@ -23,7 +23,7 @@ import traceback
 import numpy as np
 
 from .channel import PathDistribution, singular_energy_profile
-from .config import PRESET_NAMES, parse_config, preset_scenarios, render_config
+from .config import PRESET_NAMES, _with_overrides, parse_config, preset_scenarios, render_config
 from .errors import ConfigError
 from .estimation import _KRYLOV_PER_ORDER, _order_cap
 from .output import RankProfileTable, emit_csv, write_manifest
@@ -67,9 +67,7 @@ def _load_scenarios(args) -> list[ScenarioConfig]:
     if not args.config:
         return preset_scenarios(args.preset or args.default_preset,
                                 seed=args.seed, trials=args.trials)
-    overrides = {key: value for key, value in (("master_seed", args.seed), ("trials", args.trials))
-                 if value is not None}
-    return [dataclasses.replace(parse_config(args.config), **overrides)]
+    return _with_overrides([parse_config(args.config)], args.seed, args.trials)
 
 
 def _config_bytes(args, scenarios) -> bytes:

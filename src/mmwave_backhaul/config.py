@@ -215,6 +215,11 @@ def preset_scenarios(name: str, seed: int | None = None, trials: int | None = No
         raise ConfigValidationError(
             f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})"
         )
+    return _with_overrides(scenarios, seed, trials)
+
+
+def _with_overrides(scenarios, seed: int | None, trials: int | None) -> list:
+    """The scenarios with ``master_seed`` and ``trials`` replaced where given."""
     overrides = {key: value for key, value in (("master_seed", seed), ("trials", trials))
                  if value is not None}
     return [dataclasses.replace(cfg, **overrides) for cfg in scenarios]

@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ArrayGeometry, PathSet, _db_to_linear, assemble_channel, steering_matrix, steering_vector
+from .channel import (
+    ArrayGeometry,
+    PathSet,
+    _channel_scale,
+    _db_to_linear,
+    assemble_channel,
+    steering_matrix,
+    steering_vector,
+)
 from .errors import EstimationFailedError, InsufficientMeasurementsError
 
 __all__ = [
@@ -595,7 +603,7 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
     n_aod, n_aoa = aods.size, aoas.size
     a_tx = steering_matrix(tx_geom, aods)
     a_rx = steering_matrix(rx_geom, aoas)
-    scale = np.sqrt(tx_geom.n_elements * rx_geom.n_elements / path_loss)
+    scale = _channel_scale(tx_geom.n_elements, rx_geom.n_elements, path_loss)
 
     # Observation model: values[p, q] = scale * u_p^H X v_q with
     # u = A_rx^H rx, v = A_tx^H tx and X the conjugate transpose of the
@@ -694,7 +702,7 @@ def _order_cap(n: int) -> int:
 
 
 def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry,
-                n_chains: int, cfg: EstimationConfig):
+                n_chains: int):
     """Merged path directions at one array, one snapshot per beam.
 
     With ``receive`` (phase 2) each beam is transmitted and ``geom`` is
@@ -749,11 +757,10 @@ def estimate_channel(
     rx_cb = dft_codebook(rx_geom, cfg.l_sm)
     beams = _strongest_tx_beams(oracle, tx_cb, rx_cb, cfg.keep)
     tx_beams = [tx_cb.beams[:, i] for i in beams]
-    rx_snaps, aoas, slots_phase2, _ = _directions(oracle, tx_beams, True, rx_geom, cfg.n_bb_sm,
-                                                  cfg)
+    rx_snaps, aoas, slots_phase2, _ = _directions(oracle, tx_beams, True, rx_geom, cfg.n_bb_sm)
     back_beams = [steering_vector(rx_geom, aoa) for aoa in aoas]
     tx_snaps, aods, slots_phase3, steps_phase3 = _directions(oracle, back_beams, False, tx_geom,
-                                                             cfg.n_bb_ma, cfg)
+                                                             cfg.n_bb_ma)
 
     # Phase-3 snapshots enter the fit unconjugated: they are back_beam^H h^H.
     measurements = [(beam, None, snap.reshape(n_rx, 1)) for beam, snap in zip(tx_beams, rx_snaps)]

@@ -36,18 +36,24 @@ knows a constant-modulus matrix spanning the target's row space (the
 array responses of a channel's paths, when every path carries a stream)
 passes it as the start; the first digital refit is then exact and the
 iteration stops at its first step.
+
+Both ends of a link take the same factorization, so there is one result
+type, :class:`HybridFactors`.  :func:`factorize` returns a precoder,
+``digital @ analog``; :func:`factorize_combiner` factorizes a combiner's
+conjugate transpose and returns the factors transposed back, ``analog @
+digital``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FactorizeOptions",
-    "HybridPrecoder",
-    "HybridCombiner",
+    "HybridFactors",
     "phase_project",
     "factorize",
     "factorize_combiner",
@@ -66,20 +72,15 @@ class FactorizeOptions:
 
 
 @dataclass
-class HybridPrecoder:
-    """Digital (R, R) times constant-modulus analog (R, N) approximation."""
+class HybridFactors:
+    """A constant-modulus analog stage and the digital stage it pairs with.
 
-    digital: np.ndarray
-    analog: np.ndarray
-    modulus: float
-    residual: float
-    iterations_used: int
-    pinv_steps: int  # steps whose refit or refreshed target took a pseudoinverse
-
-
-@dataclass
-class HybridCombiner:
-    """Constant-modulus analog (N, R) times digital (R, R) approximation."""
+    For a precoder (from :func:`factorize`) ``analog`` is (R, N) and the
+    approximation is ``digital @ analog``; for a combiner (from
+    :func:`factorize_combiner`) ``analog`` is (N, R) and it is ``analog
+    @ digital``.  ``digital`` is (R, R) and every entry of ``analog`` has
+    magnitude ``modulus``.
+    """
 
     analog: np.ndarray
     digital: np.ndarray
@@ -131,29 +132,22 @@ _STALL_WINDOW = 20
 _STALL_TOLERANCE = 1e-6
 
 
-def _inverse(m: np.ndarray) -> np.ndarray | None:
-    """Inverse of square ``m``, or None unless ``m`` is well conditioned."""
-    try:
-        inverse = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return None
-    return inverse if np.abs(inverse).max() <= _MAX_COND / np.abs(m).max() else None
+def _checked_inverse(stack: np.ndarray) -> np.ndarray | None:
+    """Batched inverse of the (M, R, R) ``stack``, or None unless every matrix is well conditioned.
 
-
-def _pair_inverse(pair: np.ndarray) -> np.ndarray | None:
-    """Batched inverse of the (cross, gram) pair, or None unless both are well conditioned.
-
-    Each matrix takes the :func:`_inverse` test.
+    A matrix is well conditioned when the largest entry of its inverse
+    is at most ``_MAX_COND`` over its own largest entry.
     """
     try:
-        inverses = np.linalg.inv(pair)
+        inverses = np.linalg.inv(stack)
     except np.linalg.LinAlgError:
         return None
-    cross_max, gram_max = np.abs(pair).reshape(2, -1).max(axis=1).tolist()
-    cross_inv_max, gram_inv_max = np.abs(inverses).reshape(2, -1).max(axis=1).tolist()
-    if cross_inv_max <= _MAX_COND / cross_max and gram_inv_max <= _MAX_COND / gram_max:
-        return inverses
-    return None
+    matrix_maxes = np.abs(stack).max(axis=(1, 2)).tolist()
+    inverse_maxes = np.abs(inverses).max(axis=(1, 2)).tolist()
+    for matrix_max, inverse_max in zip(matrix_maxes, inverse_maxes):
+        if not inverse_max <= _MAX_COND / matrix_max:
+            return None
+    return inverses
 
 
 def _step(target: np.ndarray, shadow: np.ndarray, modulus: float) -> tuple:
@@ -172,20 +166,20 @@ def _step(target: np.ndarray, shadow: np.ndarray, modulus: float) -> tuple:
     # The cross term target @ analog^H over the Gram matrix analog @ analog^H.
     pair = (stack @ analog.conj().T).reshape(2, n_streams, n_streams)
     cross, gram = pair
-    inverses = _pair_inverse(pair)
+    inverses = _checked_inverse(pair)
     if inverses is not None:
         # cross @ inv(gram), and inv(cross @ inv(gram)) = gram @ inv(cross).
         digital, lift = pair @ inverses[::-1]
         shadow = lift @ target
     else:
-        gram_inv = _inverse(gram)
-        digital = target @ np.linalg.pinv(analog) if gram_inv is None else cross @ gram_inv
+        gram_inv = _checked_inverse(gram[np.newaxis])
+        digital = target @ np.linalg.pinv(analog) if gram_inv is None else cross @ gram_inv[0]
         shadow = np.linalg.pinv(digital) @ target
     return analog, digital, float(np.vdot(digital, cross).real), shadow, inverses is None
 
 
 def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
-              start: np.ndarray | None = None) -> HybridPrecoder:
+              start: np.ndarray | None = None) -> HybridFactors:
     """Approximate ``target`` (R, N) by digital @ analog with |analog| = 1/sqrt(N).
 
     Starts the phase-copy shadow at ``start`` (R, N), or at the target
@@ -245,9 +239,9 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
             break
         shadow = next_shadow
 
-    return HybridPrecoder(
-        digital=best_digital,
+    return HybridFactors(
         analog=best_analog,
+        digital=best_digital,
         modulus=modulus,
         residual=float(np.linalg.norm(target - best_digital @ best_analog) / target_norm),
         iterations_used=iterations,
@@ -256,7 +250,7 @@ def factorize(target: np.ndarray, opts: FactorizeOptions | None = None,
 
 
 def factorize_combiner(target: np.ndarray, opts: FactorizeOptions | None = None,
-                       start: np.ndarray | None = None) -> HybridCombiner:
+                       start: np.ndarray | None = None) -> HybridFactors:
     """Approximate a combiner ``target`` (N, R) by analog @ digital.
 
     Runs :func:`factorize` on the conjugate transpose (and ``start``,
@@ -267,11 +261,5 @@ def factorize_combiner(target: np.ndarray, opts: FactorizeOptions | None = None,
     if start is not None:
         start = np.asarray(start, dtype=complex).conj().T
     result = factorize(np.asarray(target, dtype=complex).conj().T, opts, start)
-    return HybridCombiner(
-        analog=result.analog.conj().T,
-        digital=result.digital.conj().T,
-        modulus=result.modulus,
-        residual=result.residual,
-        iterations_used=result.iterations_used,
-        pinv_steps=result.pinv_steps,
-    )
+    return dataclasses.replace(result, analog=result.analog.conj().T,
+                               digital=result.digital.conj().T)

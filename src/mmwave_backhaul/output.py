@@ -2,10 +2,11 @@
 
 CSV output is byte-stable: fixed column order, 12 significant digits,
 rows pre-sorted, LF newlines.  Every CLI run writes a manifest holding
-a digest of the exact config it ran so a later re-parse can detect
-drift, the environment the numbers came from (the Python and numpy
-versions, numpy's BLAS library and its thread variables) and the wall
-time of each stage.
+the SHA-256 digest of the exact config bytes it ran (hash a config the
+same way to check that it is the one a run used), the environment the
+numbers came from (the Python and numpy versions, numpy's BLAS library
+and its thread variables) and the wall time of each stage.  Nothing in
+the package reads a manifest back.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import json
 import os
 import platform
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +24,8 @@ from .simulation import CapacityResult
 
 __all__ = [
     "RankProfileTable",
-    "RunManifest",
     "emit_csv",
-    "config_digest",
     "write_manifest",
-    "read_manifest",
-    "manifest_matches",
 ]
 
 CAPACITY_COLUMNS = "scheme,allocation,snr_db,k_factor_db,trial,capacity_bpcu"
@@ -46,27 +43,6 @@ class RankProfileTable:
 
     def __post_init__(self):
         self.rows = sorted((int(l), int(i), float(e)) for l, i, e in self.rows)
-
-
-@dataclass
-class RunManifest:
-    config_digest: str
-    tool_version: str
-    master_seed: int
-    timestamp: str
-    outputs: list
-    # The run's environment; manifests written without it load with these
-    # defaults.  ``thread_env`` maps each of _THREAD_ENV_VARS to its value,
-    # or to None when it was unset.
-    python_version: str = ""
-    numpy_version: str = ""
-    # The BLAS library numpy was built against, from numpy.show_config.
-    blas_name: str = ""
-    blas_version: str = ""
-    thread_env: dict = field(default_factory=dict)
-    # Wall seconds per stage of the run (a path count of rank-profile, a
-    # scenario of capacity-sweep); empty for commands without stages.
-    stage_seconds: dict = field(default_factory=dict)
 
 
 def _fmt(value: float) -> str:
@@ -92,41 +68,32 @@ def emit_csv(table, path) -> None:
             handle.write(line + "\n")
 
 
-def config_digest(config_bytes: bytes) -> str:
-    return hashlib.sha256(config_bytes).hexdigest()
-
-
 def write_manifest(out_dir, config_bytes: bytes, master_seed: int, outputs,
                    stage_seconds=None) -> str:
     """Write manifest.json next to the outputs; returns its path."""
     from . import __version__
 
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    manifest = RunManifest(
-        config_digest=config_digest(config_bytes),
-        tool_version=__version__,
-        master_seed=int(master_seed),
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        outputs=[os.path.basename(os.fspath(p)) for p in outputs],
-        python_version=platform.python_version(),
-        numpy_version=np.__version__,
-        blas_name=blas.get("name", ""),
-        blas_version=blas.get("version", ""),
-        thread_env={name: os.environ.get(name) for name in _THREAD_ENV_VARS},
-        stage_seconds=dict(stage_seconds or {}),
-    )
+    manifest = {
+        "config_digest": hashlib.sha256(config_bytes).hexdigest(),
+        "tool_version": __version__,
+        "master_seed": int(master_seed),
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "outputs": [os.path.basename(os.fspath(p)) for p in outputs],
+        # The run's environment.  ``thread_env`` maps each of
+        # _THREAD_ENV_VARS to its value, or to None when it was unset.
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        # The BLAS library numpy was built against, from numpy.show_config.
+        "blas_name": blas.get("name", ""),
+        "blas_version": blas.get("version", ""),
+        "thread_env": {name: os.environ.get(name) for name in _THREAD_ENV_VARS},
+        # Wall seconds per stage of the run (a path count of rank-profile, a
+        # scenario of capacity-sweep); empty for commands without stages.
+        "stage_seconds": dict(stage_seconds or {}),
+    }
     path = os.path.join(os.fspath(out_dir), "manifest.json")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(asdict(manifest), handle, indent=2, sort_keys=True)
+        json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def read_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as handle:
-        return RunManifest(**json.load(handle))
-
-
-def manifest_matches(manifest: RunManifest, config_bytes: bytes) -> bool:
-    """True when the manifest's digest still matches the config bytes."""
-    return manifest.config_digest == config_digest(config_bytes)

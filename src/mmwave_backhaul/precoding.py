@@ -44,7 +44,7 @@ class TruncatedSvd:
     in non-increasing order.  Trailing sigmas may be numerically zero
     when R exceeds the matrix rank.  :func:`truncated_svd` and
     :func:`factored_svd` build the factors from an SVD and QRs, so their
-    orthonormality is not re-checked here.
+    shapes, order and orthonormality are not re-checked here.
     """
 
     left: np.ndarray
@@ -52,29 +52,14 @@ class TruncatedSvd:
     right: np.ndarray
     rank_used: int
 
-    def __post_init__(self):
-        self.left = np.asarray(self.left, dtype=complex)
-        self.right = np.asarray(self.right, dtype=complex)
-        self.sigmas = np.asarray(self.sigmas, dtype=float)
-        r = self.rank_used
-        if self.left.shape[1] != r or self.right.shape[1] != r or self.sigmas.shape != (r,):
-            raise ValueError("factor shapes do not match rank_used")
-        if np.any(np.diff(self.sigmas) > 0) or np.any(self.sigmas < 0):
-            raise ValueError("sigmas must be non-negative and non-increasing")
-
 
 @dataclass
 class MuExactSet:
-    """Per-user truncated SVDs plus their stacked multi-user factors."""
+    """The stacked multi-user factors of per-user truncated SVDs."""
 
-    per_user: list
     u_tilde: np.ndarray      # (n_tx, K*R) stacked left factors
     c_bar: np.ndarray        # (K*n_rx, K*R) block-diagonal right factors
     sigma_stack: np.ndarray  # (K*R,)
-
-    @property
-    def rank(self) -> int:
-        return self.per_user[0].rank_used
 
 
 def _fix_phases(u: np.ndarray, v: np.ndarray) -> None:
@@ -170,7 +155,7 @@ def mu_assemble(svds) -> MuExactSet:
     u_tilde = np.hstack([s.left for s in svds])
     c_bar = _block_diag([s.right for s in svds])
     sigma_stack = np.concatenate([s.sigmas for s in svds])
-    return MuExactSet(per_user=svds, u_tilde=u_tilde, c_bar=c_bar, sigma_stack=sigma_stack)
+    return MuExactSet(u_tilde=u_tilde, c_bar=c_bar, sigma_stack=sigma_stack)
 
 
 def mu_digital_precoder(p_tilde_d: np.ndarray, p_a: np.ndarray, u_tilde: np.ndarray):

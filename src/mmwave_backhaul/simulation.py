@@ -47,6 +47,7 @@ from .channel import (
     ArrayGeometry,
     PathDistribution,
     PathSet,
+    _channel_scale,
     _db_to_linear,
     assemble_channel,
     sample_paths,
@@ -145,7 +146,7 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigValidationError(str(exc)) from None
         # A subnormal path loss parses but overflows the channel's scale.
-        if not np.isfinite(np.sqrt(self.n_ma * self.n_sm / self.path_loss)):
+        if not np.isfinite(_channel_scale(self.n_ma, self.n_sm, self.path_loss)):
             raise ConfigValidationError(
                 "path_loss must keep the steering scale sqrt(elements / path_loss) finite")
         if not self.snr_grid_db:
@@ -298,7 +299,7 @@ class _UserChannel:
 
     @classmethod
     def from_paths(cls, tx: ArrayGeometry, rx: ArrayGeometry, paths: PathSet) -> "_UserChannel":
-        scale = np.sqrt(tx.n_elements * rx.n_elements / paths.path_loss)
+        scale = _channel_scale(tx.n_elements, rx.n_elements, paths.path_loss)
         return cls(steering_matrix(tx, paths.aods), scale * paths.gains,
                    steering_matrix(rx, paths.aoas))
 

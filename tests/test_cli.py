@@ -1,3 +1,4 @@
+import hashlib
 import json
 import platform
 import subprocess
@@ -21,13 +22,11 @@ from mmwave_backhaul import (
     ScenarioConfig,
     SingularCouplingError,
     emit_csv,
-    manifest_matches,
     parse_config,
-    read_manifest,
+    write_manifest,
 )
 from mmwave_backhaul import cli
 from mmwave_backhaul.config import parse_config_text, preset_scenarios, render_config
-from mmwave_backhaul.output import config_digest, write_manifest
 from subprocess_env import child_env
 
 MINIMAL = """\
@@ -242,47 +241,48 @@ class TestEmitCsv:
             emit_csv([(1, 2, 3)], tmp_path / "x.csv")
 
 
+def load_manifest(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 class TestManifest:
     def test_digest_round_trip(self, tmp_path):
         config_bytes = MINIMAL.encode()
-        path = write_manifest(tmp_path, config_bytes, 7, [tmp_path / "capacity.csv"])
-        manifest = read_manifest(path)
-        assert manifest.master_seed == 7
-        assert manifest.outputs == ["capacity.csv"]
-        assert manifest_matches(manifest, config_bytes)
-        assert not manifest_matches(manifest, config_bytes + b"\n# edited")
+        manifest = load_manifest(write_manifest(tmp_path, config_bytes, 7,
+                                                [tmp_path / "capacity.csv"]))
+        assert manifest["master_seed"] == 7
+        assert manifest["outputs"] == ["capacity.csv"]
+        assert manifest["config_digest"] == hashlib.sha256(config_bytes).hexdigest()
+
+    def test_keys_are_the_documented_set(self, tmp_path):
+        manifest = load_manifest(write_manifest(tmp_path, b"", 7, []))
+        assert set(manifest) == {
+            "config_digest", "tool_version", "master_seed", "timestamp", "outputs",
+            "python_version", "numpy_version", "blas_name", "blas_version", "thread_env",
+            "stage_seconds",
+        }
 
     def test_environment_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        path = write_manifest(tmp_path, MINIMAL.encode(), 7, [tmp_path / "capacity.csv"])
-        manifest = read_manifest(path)
-        assert manifest.python_version == platform.python_version()
-        assert manifest.numpy_version == np.__version__
+        manifest = load_manifest(write_manifest(tmp_path, MINIMAL.encode(), 7,
+                                                [tmp_path / "capacity.csv"]))
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert (manifest.blas_name, manifest.blas_version) == (blas["name"], blas["version"])
-        assert manifest.blas_name
-        assert manifest.thread_env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
-
-    def test_manifest_without_environment_loads(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"config_digest": config_digest(b""), "tool_version": "0.1.0",
-                                    "master_seed": 7, "timestamp": "", "outputs": []}))
-        manifest = read_manifest(path)
-        assert manifest.python_version == manifest.numpy_version == ""
-        assert manifest.blas_name == manifest.blas_version == ""
-        assert manifest.thread_env == {}
-        assert manifest.stage_seconds == {}
-        assert manifest_matches(manifest, b"")
+        assert (manifest["blas_name"], manifest["blas_version"]) == (blas["name"], blas["version"])
+        assert manifest["blas_name"]
+        assert manifest["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
 
     def test_stage_seconds_round_trip(self, tmp_path):
         stages = {"l=1": 0.25, "l=2": 1.5}
-        path = write_manifest(tmp_path, MINIMAL.encode(), 7, [], stages)
-        assert read_manifest(path).stage_seconds == stages
-        assert read_manifest(write_manifest(tmp_path, b"", 7, [])).stage_seconds == {}
+        assert load_manifest(write_manifest(tmp_path, MINIMAL.encode(), 7, [], stages))[
+            "stage_seconds"] == stages
+        assert load_manifest(write_manifest(tmp_path, b"", 7, []))["stage_seconds"] == {}
 
-    def test_digest_is_sha256(self):
-        assert config_digest(b"abc") == (
+    def test_digest_is_sha256(self, tmp_path):
+        assert load_manifest(write_manifest(tmp_path, b"abc", 7, []))["config_digest"] == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
 
@@ -317,7 +317,7 @@ class TestCliEndToEnd:
         assert len(lines) == 1 + 2 * 2 * 2  # schemes x snrs x trials
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["capacity.csv"]
-        assert manifest["config_digest"] == config_digest(cfg.read_bytes())
+        assert manifest["config_digest"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
         [stage] = manifest["stage_seconds"]
         assert stage.startswith("k_factor_db=")
         assert manifest["stage_seconds"][stage] > 0

@@ -17,7 +17,13 @@ from mmwave_backhaul import (
     steering_matrix,
     truncated_svd,
 )
-from mmwave_backhaul.factorization import _STALL_TOLERANCE, _STALL_WINDOW, _step
+from mmwave_backhaul.factorization import (
+    _MAX_COND,
+    _STALL_TOLERANCE,
+    _STALL_WINDOW,
+    _checked_inverse,
+    _step,
+)
 from mmwave_backhaul.simulation import _LINK_FACTORIZE_OPTS
 
 
@@ -313,7 +319,52 @@ class TestFactorize:
             FactorizeOptions(max_iterations=0)
 
 
+class TestCheckedInverse:
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_well_conditioned_stack_is_the_plain_inverse(self, rank):
+        rng = np.random.default_rng([71, rank])
+        stack = (np.eye(rank) * 4 + rng.standard_normal((2, rank, rank))
+                 + 1j * rng.standard_normal((2, rank, rank)))
+        inverses = _checked_inverse(stack)
+        assert np.array_equal(inverses, np.linalg.inv(stack))
+        # A stack of one takes the same bits as the matrix alone.
+        for matrix in stack:
+            assert np.array_equal(_checked_inverse(matrix[np.newaxis])[0], np.linalg.inv(matrix))
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_one_ill_conditioned_matrix_rejects_the_stack(self, bad):
+        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
+        # Its inverse's largest entry is ten times _MAX_COND over its own.
+        stack[bad] = np.diag([1.0, 0.1 / _MAX_COND])
+        assert np.isfinite(np.linalg.inv(stack)).all()
+        assert _checked_inverse(stack) is None
+        assert _checked_inverse(stack[1 - bad:2 - bad]) is not None
+
+    def test_singular_stack_is_rejected(self):
+        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]], dtype=complex)
+        assert _checked_inverse(stack) is None
+
+
 class TestFactorizeCombiner:
+    # Three paths on four streams are closed form from the steering start;
+    # five paths iterate.
+    @pytest.mark.parametrize("n_paths, start", [(3, None), (3, "steering"), (5, None),
+                                                (5, "random")])
+    def test_is_factorize_of_the_conjugate_transpose(self, n_paths, start):
+        _, a_rx, svd = path_svd(512, 32, n_paths, 4, seed=[81, n_paths])
+        if start == "steering":
+            start = a_rx
+        elif start == "random":
+            rng = np.random.default_rng(82)
+            start = rng.standard_normal(svd.right.shape) + 1j * rng.standard_normal(svd.right.shape)
+        comb = factorize_combiner(svd.right, _LINK_FACTORIZE_OPTS, start)
+        prec = factorize(svd.right.conj().T, _LINK_FACTORIZE_OPTS,
+                         None if start is None else start.conj().T)
+        assert np.array_equal(comb.analog, prec.analog.conj().T)
+        assert np.array_equal(comb.digital, prec.digital.conj().T)
+        assert (comb.modulus, comb.residual, comb.iterations_used, comb.pinv_steps) == (
+            prec.modulus, prec.residual, prec.iterations_used, prec.pinv_steps)
+
     def test_reconstruction_matches_residual(self):
         rng = np.random.default_rng(9)
         paths = sample_paths(PathDistribution(4, 4), rng)
