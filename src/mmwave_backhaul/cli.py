@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -22,10 +23,10 @@ import traceback
 
 import numpy as np
 
+from . import estimation
 from .channel import PathDistribution, singular_energy_profile
 from .config import PRESET_NAMES, _with_overrides, parse_config, preset_scenarios, render_config
 from .errors import ConfigError
-from .estimation import _KRYLOV_PER_ORDER, _order_cap
 from .output import RankProfileTable, emit_csv, write_manifest
 from .simulation import (
     CapacityResult,
@@ -38,27 +39,26 @@ from .simulation import (
     run_scenario,
 )
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args leaves the parser as it was.
     parser = argparse.ArgumentParser(
         prog="mmwave-backhaul",
         description="Link-level simulator for multi-user mmWave massive-MIMO backhaul.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, default_preset in _COMMANDS:
-        command = sub.add_parser(name, help=help_text)
-        _add_common(command)
-        command.set_defaults(func=func, default_preset=default_preset)
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, default_preset=default_preset)
+        p.add_argument("--config", metavar="PATH", help="YAML scenario config")
+        p.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario preset")
+        p.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
+        p.add_argument("--out", default="out", metavar="DIR", help="output directory")
+        p.add_argument("--trials", type=int, metavar="N", help="override the trial count")
+        p.add_argument("--debug", action="store_true",
+                       help="print the traceback of a runtime error (exit code 3)")
     return parser
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="YAML scenario config")
-    p.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario preset")
-    p.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
-    p.add_argument("--out", default="out", metavar="DIR", help="output directory")
-    p.add_argument("--trials", type=int, metavar="N", help="override the trial count")
-    p.add_argument("--debug", action="store_true",
-                   help="print the traceback of a runtime error (exit code 3)")
 
 
 def _load_scenarios(args) -> list[ScenarioConfig]:
@@ -77,16 +77,8 @@ def _config_bytes(args, scenarios) -> bytes:
     return "\n---\n".join(render_config(c) for c in scenarios).encode("utf-8")
 
 
-def _prepare_out(args) -> str:
-    out_dir = os.fspath(args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
-def cmd_rank_profile(args) -> int:
-    scenarios = _load_scenarios(args)
+def cmd_rank_profile(scenarios):
     cfg = scenarios[0]
-    out_dir = _prepare_out(args)
     rows = []
     stage_seconds = {}
     for n_paths in range(cfg.l_min, cfg.l_max + 1):
@@ -100,17 +92,10 @@ def cmd_rank_profile(args) -> int:
         rows.extend((n_paths, i, e) for i, e in enumerate(profile))
         print(f"L={n_paths}: top-3 mean energy "
               + ", ".join(f"{e:.4f}" for e in profile[:3]))
-    csv_path = os.path.join(out_dir, "rank_profile.csv")
-    emit_csv(RankProfileTable(rows), csv_path)
-    write_manifest(out_dir, _config_bytes(args, scenarios), cfg.master_seed, [csv_path],
-                   stage_seconds)
-    print(f"wrote {csv_path}")
-    return 0
+    return {"rank_profile.csv": RankProfileTable(rows)}, stage_seconds
 
 
-def cmd_capacity_sweep(args) -> int:
-    scenarios = _load_scenarios(args)
-    out_dir = _prepare_out(args)
+def cmd_capacity_sweep(scenarios):
     rows = []
     stage_seconds = {}
     for cfg in scenarios:
@@ -121,21 +106,13 @@ def cmd_capacity_sweep(args) -> int:
         rows.extend(result.rows)
         print(f"k_factor={cfg.k_factor_db:g} dB, allocation={cfg.allocation}: "
               f"{len(result.rows)} rows")
-    result = CapacityResult(rows=rows)
-    csv_path = os.path.join(out_dir, "capacity.csv")
-    emit_csv(result, csv_path)
-    write_manifest(out_dir, _config_bytes(args, scenarios), scenarios[0].master_seed, [csv_path],
-                   stage_seconds)
-    print(f"wrote {csv_path} ({len(result.rows)} rows)")
-    return 0
+    return {"capacity.csv": CapacityResult(rows=rows)}, stage_seconds
 
 
-def cmd_estimate_demo(args) -> int:
-    scenarios = _load_scenarios(args)
+def cmd_estimate_demo(scenarios):
     cfg = scenarios[0]
     if cfg.estimation is None:
         raise ConfigError("estimate-demo needs an estimation section in the config")
-    out_dir = _prepare_out(args)
     paths = _trial_paths(cfg, 0)[:1]  # trial 0's first user
     h, report = next(_trial_estimates(cfg, 0, paths))
     nmse = np.linalg.norm(report.reconstruction - h) ** 2 / np.linalg.norm(h) ** 2
@@ -147,23 +124,23 @@ def cmd_estimate_demo(args) -> int:
     print(f"training slots:    {report.training_slots_used} "
           f"(sweep {report.slots_phase1}, arrival {report.slots_phase2}, "
           f"departure {report.slots_phase3})")
-    steps = [k for k in report.lanczos_steps_phase3 if k]
-    mean_steps = f"{np.mean(steps):.1f}" if steps else "-"
-    # A pencil that never met the stop rule ran the whole Krylov depth.
-    depth = _KRYLOV_PER_ORDER * _order_cap(cfg.n_ma)
-    print(f"departure pencils: {len(report.lanczos_steps_phase3)} "
-          f"(mean Lanczos steps {mean_steps}, {steps.count(depth)} at the full depth {depth}, "
-          f"dense SVD fallbacks {len(report.lanczos_steps_phase3) - len(steps)})")
-    write_manifest(out_dir, _config_bytes(args, scenarios), cfg.master_seed, [])
-    return 0
+    pencils = len(report.lanczos_steps_phase3)
+    depth = estimation._lanczos_depth(cfg.n_ma)
+    detail = f"dense SVD by design: {cfg.n_ma} elements are too few for the truncated pencil"
+    if depth:
+        steps = [k for k in report.lanczos_steps_phase3 if k]
+        mean_steps = f"{np.mean(steps):.1f}" if steps else "-"
+        # A pencil that never met the stop rule ran the whole Krylov depth.
+        detail = (f"mean Lanczos steps {mean_steps}, {steps.count(depth)} at the full depth "
+                  f"{depth}, dense SVD fallbacks {pencils - len(steps)}")
+    print(f"departure pencils: {pencils} ({detail})")
+    return {}, {}
 
 
-def cmd_factorize(args) -> int:
+def cmd_factorize(scenarios):
     # The factors of each trial's hybrid_ideal link: each user's precoder
     # and combiner from its min(n_bb_sm, rank) singular vectors.
-    scenarios = _load_scenarios(args)
     cfg = dataclasses.replace(scenarios[0], schemes=("hybrid_ideal",))
-    out_dir = _prepare_out(args)
     links = [_trial_links(cfg, trial)["hybrid_ideal"] for trial in range(cfg.trials)]
     precoders, combiners, closed_form = zip(*(f for link in links for f in link.factors))
     streams = sum(link.offsets[-1] for link in links)
@@ -186,11 +163,11 @@ def cmd_factorize(args) -> int:
               f"{np.sum(iterations >= cap)} at max_iterations ({cap})")
         print(f"  pseudoinverse steps: {sum(r.pinv_steps for r in results)} "
               f"of {sum(r.iterations_used for r in results)}")
-    write_manifest(out_dir, _config_bytes(args, scenarios), cfg.master_seed, [])
-    return 0
+    return {}, {}
 
 
-# name, handler, help, default preset
+# name, handler, help, default preset; a handler maps the scenarios to
+# ({output file name: table}, {stage: wall seconds}).
 _COMMANDS = (
     ("rank-profile", cmd_rank_profile, "mean singular-energy profiles per path count", "fig2"),
     ("capacity-sweep", cmd_capacity_sweep, "Monte Carlo capacity rows over an SNR grid", "fig5"),
@@ -200,10 +177,20 @@ _COMMANDS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        scenarios = _load_scenarios(args)
+        tables, stage_seconds = args.func(scenarios)
+        # Nothing is written until the command has finished.
+        out_dir = os.fspath(args.out)
+        os.makedirs(out_dir, exist_ok=True)
+        paths = [os.path.join(out_dir, name) for name in tables]
+        for path, table in zip(paths, tables.values()):
+            emit_csv(table, path)
+            print(f"wrote {path} ({len(table.rows)} rows)")
+        write_manifest(out_dir, _config_bytes(args, scenarios), scenarios[0].master_seed,
+                       paths, stage_seconds)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

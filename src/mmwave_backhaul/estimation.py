@@ -299,26 +299,33 @@ def _decided_order(s, bounds, max_order: int, rank_threshold: float):
     return None
 
 
+def _lanczos_depth(n: int, max_order: int | None = None) -> int:
+    # The Lanczos depth of the pencil on a length-n snapshot at max_order
+    # (by default the estimator's _order_cap(n)), or 0 when it would not be
+    # below the Hankel's n - n // 2 rows and the dense SVD runs by design.
+    depth = _KRYLOV_PER_ORDER * (_order_cap(n) if max_order is None else max_order)
+    return depth if depth < n - n // 2 else 0
+
+
 def _leading_left_singular(x: np.ndarray, rows: int, max_order: int, rank_threshold: float):
     """Leading singular values and left singular vectors of each row's Hankel.
 
     ``x`` is a (B, n) stack; row b's Hankel has ``rows`` rows,
     ``n - rows + 1`` columns and entries ``x[b, i + k]``.  One lockstep
-    Golub-Kahan-Lanczos run of depth at most ``_KRYLOV_PER_ORDER *
-    max_order`` gives every row's leading triplets; a row's pencil order
+    Golub-Kahan-Lanczos run of depth at most ``_lanczos_depth(n,
+    max_order)`` gives every row's leading triplets; a row's pencil order
     (the count at or above ``rank_threshold`` times the largest, capped
     at ``max_order``) is taken from them only when ``_decided_order``
-    fixes it.  The other rows, and every row when the depth covers the
-    whole matrix, get the dense SVD of their Hankel, all in one batched
-    call, which is bit for bit each matrix's own SVD.  Returns one
-    ``(sigmas, left, lanczos_steps)`` per row, descending, with
-    ``lanczos_steps`` 0 for the dense SVD; a zero matrix gives
-    ``sigmas[0] == 0``.
+    fixes it.  The other rows, and every row when that depth is 0, get
+    the dense SVD of their Hankel, all in one batched call, which is bit
+    for bit each matrix's own SVD.  Returns one ``(sigmas, left,
+    lanczos_steps)`` per row, descending, with ``lanczos_steps`` 0 for
+    the dense SVD; a zero matrix gives ``sigmas[0] == 0``.
     """
     cols = x.shape[1] - rows + 1
-    depth = _KRYLOV_PER_ORDER * max_order
+    depth = _lanczos_depth(x.shape[1], max_order)
     found = [None] * len(x)
-    if depth < min(rows, cols):
+    if depth:
         runs = _golub_kahan_lanczos(x, rows, depth, max_order, rank_threshold)
         for b, (s, u, bounds) in enumerate(runs):
             if _decided_order(s, bounds, min(max_order, s.size), rank_threshold) is not None:

@@ -371,6 +371,13 @@ class TestCliEndToEnd:
         assert proc.returncode == 0, proc.stderr
         assert "channel NMSE" in proc.stdout
         assert "training slots" in proc.stdout
+        # A 64-element pencil's Lanczos depth, 32, would cover its 32-row
+        # Hankel, so every departure pencil is dense by design.
+        assert ("(dense SVD by design: 64 elements are too few for the truncated pencil)"
+                in proc.stdout)
+        assert "fallbacks" not in proc.stdout
+        proc = run_cli("estimate-demo", "--preset", "fig5", "--out", str(tmp_path / "fig5"))
+        assert proc.returncode == 0, proc.stderr
         assert "at the full depth 32," in proc.stdout
 
     def test_factorize_report(self, tmp_path):
@@ -464,6 +471,7 @@ class TestCliEndToEnd:
         assert cli.main(["capacity-sweep", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 3
         assert "SingularCouplingError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # a failed run writes nothing
 
     def test_debug_prints_traceback(self, tmp_path, monkeypatch, capsys):
         def singular(*args, **kwargs):
@@ -479,6 +487,27 @@ class TestCliEndToEnd:
         assert "Traceback (most recent call last)" in err
         assert "in singular" in err
         assert err.rstrip().endswith("error: SingularCouplingError: coupling matrix is singular")
+        assert not (tmp_path / "out").exists()
+
+    def test_parser_reused_across_runs(self, tmp_path):
+        # One process, one parser: a rank profile, a capacity sweep, then
+        # the first rank profile again.  Each matches its own run in a
+        # fresh process.
+        cfg = self.write_config(tmp_path)
+        rank = ["rank-profile", "--config", str(cfg), "--seed", "5", "--trials", "3"]
+        sweep = ["capacity-sweep", "--config", str(cfg), "--seed", "6"]
+        runs = [(rank, "rank_profile.csv"), (sweep, "capacity.csv"), (rank, "rank_profile.csv")]
+        outputs = []
+        for i, (argv, name) in enumerate(runs):
+            assert cli.main(argv + ["--out", str(tmp_path / f"run{i}")]) == 0
+            outputs.append((tmp_path / f"run{i}" / name).read_bytes())
+        assert cli.build_parser() is cli.build_parser()
+        assert outputs[0] == outputs[2]
+        for i, (argv, name) in enumerate(runs[:2]):
+            out = tmp_path / f"child{i}"
+            proc = run_cli(*argv, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            assert (out / name).read_bytes() == outputs[i]
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self.write_config(tmp_path)

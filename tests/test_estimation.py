@@ -403,6 +403,16 @@ class TestTruncatedPencil:
             np.testing.assert_allclose(spec.frequencies, alone.frequencies, rtol=0, atol=1e-12)
             np.testing.assert_allclose(spec.coefficients, alone.coefficients, rtol=1e-12, atol=1e-15)
 
+    def test_lanczos_depth_zero_where_dense_by_design(self):
+        # The depth 4 * 8 = 32 runs only below the Hankel's n - n // 2 rows.
+        assert [estimation._lanczos_depth(n) for n in (32, 64, 65, 512)] == [0, 0, 32, 32]
+        assert estimation._lanczos_depth(64, 4) == 16
+        for n, lanczos in ((64, False), (65, True)):
+            basis = np.exp(2j * np.pi * np.outer(np.arange(n), [0.1, 0.3]))
+            spec = line_spectrum_estimate(basis @ np.array([1.0, 0.5]), 8, 1e-2)
+            assert spec.order == 2
+            assert (spec.lanczos_steps > 0) == lanczos
+
     def test_early_stop_is_the_run_of_that_depth(self, monkeypatch):
         # A row that stops at depth k returns bit for bit what a stacked
         # run capped at k steps, with the stopping rule off, returns.
