@@ -126,11 +126,10 @@ def steering_vector(geom: ArrayGeometry, angle: float) -> np.ndarray:
     """Unit-norm array response of a ULA to a plane wave from ``angle``.
 
     Element m equals ``exp(2j*pi*spacing*m*sin(angle)) / sqrt(N)``,
-    with the spacing measured in wavelengths.
+    with the spacing measured in wavelengths: the one column of
+    ``steering_matrix(geom, angle)``.
     """
-    m = np.arange(geom.n_elements)
-    phase = 2.0 * np.pi * geom.spacing * np.sin(angle)
-    return np.exp(1j * phase * m) / np.sqrt(geom.n_elements)
+    return steering_matrix(geom, angle)[:, 0]
 
 
 def steering_matrix(geom: ArrayGeometry, angles) -> np.ndarray:

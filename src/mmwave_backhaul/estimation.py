@@ -1,16 +1,17 @@
 """Three-phase compressive channel estimation.
 
-Phase 1 sweeps coarse beam pairs from predefined codebooks and keeps the
+Every measurement is one ``ChannelOracle.observe`` call.  Phase 1
+sweeps coarse beam pairs from predefined codebooks and keeps the
 strongest transmit beams.  Phase 2 points the transmitter along each
-kept beam and takes full receive-array snapshots (assembled chain-group
-by chain-group, since only a few baseband chains exist); a
-single-snapshot matrix-pencil line-spectral estimator turns each
-snapshot into arrival directions.  Phase 3 swaps roles to estimate
-departure directions the same way.  Each phase takes all of its
-snapshots first, in beam order, so the measurement noise is drawn as
-one beam at a time would draw it, and then fits them as one stack: the
-phase's pencils run in lockstep, and each snapshot gets the fit it
-would get alone.  A final least-squares fit recovers the coupling gains
+kept beam and samples the whole receive array, one observation per
+snapshot against the identity (it costs ``ceil(n / n_chains)`` training
+slots, since only a few baseband chains exist); a single-snapshot
+matrix-pencil line-spectral estimator turns each snapshot into arrival
+directions.  Phase 3 swaps roles to estimate departure directions the
+same way.  Each phase takes all of its snapshots first, in beam order,
+and then fits them as one stack: the phase's pencils run in lockstep,
+and each snapshot gets the fit it would get alone.  A final
+least-squares fit on the same observations recovers the coupling gains
 between every estimated departure/arrival pair, the dominant pairs
 become the path estimate, and the channel is rebuilt from them.
 """
@@ -143,7 +144,12 @@ class ChannelOracle:
 
     ``observe(tx, rx)`` returns ``rx^H @ h^H @ tx`` plus i.i.d. circular
     complex Gaussian noise of variance ``noise_var`` per entry, one
-    fresh draw per call.
+    fresh draw per call (a real block, then an imaginary block, over the
+    result's shape).  A ``tx`` or ``rx`` of ``None`` stands for the
+    identity, every element of that array sampled: ``observe(beam,
+    None)`` is the receive-array snapshot ``h^H @ beam`` as an (n_rx, 1)
+    column, and ``observe(None, beam)`` the (1, n_tx) row ``beam^H @
+    h^H``, whose conjugate is the transmit-array snapshot.
     """
 
     def __init__(self, h: np.ndarray, noise_var: float, rng: np.random.Generator):
@@ -153,49 +159,26 @@ class ChannelOracle:
         self.noise_var = float(noise_var)
         self._rng = rng
 
-    def observe(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-        tx = np.asarray(tx, dtype=complex)
-        rx = np.asarray(rx, dtype=complex)
-        if tx.ndim == 1:
-            tx = tx[:, None]
-        if rx.ndim == 1:
-            rx = rx[:, None]
-        clean = rx.conj().T @ (self._h_herm @ tx)
+    def observe(self, tx: np.ndarray | None, rx: np.ndarray | None) -> np.ndarray:
+        clean = self._h_herm if tx is None else self._h_herm @ _columns(tx)
+        if rx is not None:
+            clean = _columns(rx).conj().T @ clean
         if self.noise_var == 0:
             return clean
         scale = np.sqrt(self.noise_var / 2.0)
         noise = self._rng.standard_normal(clean.shape) + 1j * self._rng.standard_normal(clean.shape)
         return clean + scale * noise
 
-    def snapshot(self, beam: np.ndarray, n_chains: int, receive: bool = True):
-        """Full-array observation of one fixed beam, ``n_chains`` elements per slot.
 
-        With ``receive`` the far end transmits ``beam`` and the receive
-        array is sampled: ``h^H @ beam``.  Otherwise the far end combines
-        with ``beam`` and the transmit array is sampled: ``beam^H @ h^H``,
-        whose conjugate is the transmit-array snapshot.  Each sub-slot
-        connects the chains to ``n_chains`` distinct elements and draws
-        its noise like one ``observe`` call (real block, then imaginary
-        block), so the noise stream matches a group-by-group
-        ``observe`` with unit selection vectors.  Returns
-        ``(snapshot, slots_used)`` with ``slots_used = ceil(n / n_chains)``.
-        """
-        if n_chains < 1:
-            raise ValueError("n_chains must be >= 1")
-        beam = np.asarray(beam, dtype=complex)
-        clean = self._h_herm @ beam if receive else beam.conj() @ self._h_herm
-        n = clean.size
-        slots = -(-n // n_chains)
-        if self.noise_var == 0:
-            return clean, slots
-        full = n - n % n_chains
-        draws = self._rng.standard_normal((full // n_chains, 2, n_chains))
-        noise = np.empty(n, dtype=complex)
-        noise[:full] = (draws[:, 0] + 1j * draws[:, 1]).ravel()
-        if full < n:
-            tail = self._rng.standard_normal((2, n - full))
-            noise[full:] = tail[0] + 1j * tail[1]
-        return clean + np.sqrt(self.noise_var / 2.0) * noise, slots
+def _columns(probe) -> np.ndarray:
+    # A probe as a complex matrix of column beams; one beam is one column.
+    probe = np.asarray(probe, dtype=complex)
+    return probe[:, None] if probe.ndim == 1 else probe
+
+
+def _slots(n: int, n_chains: int) -> int:
+    # Training slots to sample n elements with n_chains baseband chains.
+    return -(-n // n_chains)
 
 
 def dft_codebook(geom: ArrayGeometry, size: int) -> Codebook:
@@ -261,14 +244,18 @@ def array_snapshot(
 ):
     """Full receive-array observation of ``h^H @ tx_beam`` plus noise.
 
-    Returns ``(snapshot, slots_used)`` where ``slots_used`` is
+    One ``observe(tx_beam, None)`` call on a fresh oracle.  Returns
+    ``(snapshot, slots_used)`` where ``slots_used`` is
     ``ceil(n_rx / n_chains)``, the number of sub-slots needed to touch
     every antenna with ``n_chains`` baseband chains.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape[1] != rx_geom.n_elements:
         raise ValueError("channel column count must match the receive array")
-    return ChannelOracle(h, noise_var, rng).snapshot(tx_beam, n_chains)
+    if n_chains < 1:
+        raise ValueError("n_chains must be >= 1")
+    snapshot = ChannelOracle(h, noise_var, rng).observe(tx_beam, None)[:, 0]
+    return snapshot, _slots(rx_geom.n_elements, n_chains)
 
 
 # Krylov depth of the truncated Hankel SVD per unit of model order.
@@ -286,10 +273,15 @@ _CHECK_EVERY = 4
 
 
 def _decided_order(s, bounds, max_order: int, rank_threshold: float):
-    # Ritz values only underestimate the singular values, so they fix the
-    # pencil's order when max_order of them reach the cut (rank_threshold
-    # times the largest), or when the first one below the cut lies below
-    # it by more than its residual bound.  Returns that order, or None.
+    # The pencil's order: the count of singular values at or above the cut
+    # (rank_threshold times the largest), capped at max_order, and 0 for a
+    # zero matrix.  Ritz values only underestimate the singular values, so
+    # they fix the order when max_order of them reach the cut, or when the
+    # first one below the cut lies below it by more than its residual
+    # bound; exact singular values have zero bounds.  Returns that order,
+    # or None.
+    if s[0] == 0:
+        return 0
     cut = rank_threshold * s[0]
     count = int(np.sum(s >= cut))
     if count >= max_order:
@@ -308,19 +300,20 @@ def _lanczos_depth(n: int, max_order: int | None = None) -> int:
 
 
 def _leading_left_singular(x: np.ndarray, rows: int, max_order: int, rank_threshold: float):
-    """Leading singular values and left singular vectors of each row's Hankel.
+    """The pencil's order and leading left singular vectors of each row's Hankel.
 
     ``x`` is a (B, n) stack; row b's Hankel has ``rows`` rows,
     ``n - rows + 1`` columns and entries ``x[b, i + k]``.  One lockstep
     Golub-Kahan-Lanczos run of depth at most ``_lanczos_depth(n,
-    max_order)`` gives every row's leading triplets; a row's pencil order
-    (the count at or above ``rank_threshold`` times the largest, capped
-    at ``max_order``) is taken from them only when ``_decided_order``
-    fixes it.  The other rows, and every row when that depth is 0, get
-    the dense SVD of their Hankel, all in one batched call, which is bit
-    for bit each matrix's own SVD.  Returns one ``(sigmas, left,
-    lanczos_steps)`` per row, descending, with ``lanczos_steps`` 0 for
-    the dense SVD; a zero matrix gives ``sigmas[0] == 0``.
+    max_order)`` gives every row's leading triplets; a row's order is
+    taken from them only when ``_decided_order`` fixes it.  The other
+    rows, and every row when that depth is 0, get the dense SVD of their
+    Hankel, all in one batched call, which is bit for bit each matrix's
+    own SVD; their order is capped at ``min(max_order, rows - 1)``.
+    Returns one ``(order, left, lanczos_steps)`` per row, the left
+    vectors in descending order of their singular values, with
+    ``lanczos_steps`` 0 for the dense SVD and for a zero matrix, whose
+    order is 0.
     """
     cols = x.shape[1] - rows + 1
     depth = _lanczos_depth(x.shape[1], max_order)
@@ -328,14 +321,16 @@ def _leading_left_singular(x: np.ndarray, rows: int, max_order: int, rank_thresh
     if depth:
         runs = _golub_kahan_lanczos(x, rows, depth, max_order, rank_threshold)
         for b, (s, u, bounds) in enumerate(runs):
-            if _decided_order(s, bounds, min(max_order, s.size), rank_threshold) is not None:
-                found[b] = s, u, s.size
+            order = _decided_order(s, bounds, min(max_order, s.size), rank_threshold)
+            if order is not None:
+                found[b] = order, u, s.size if s[0] else 0
     dense = [b for b, result in enumerate(found) if result is None]
     if dense:
         hankels = x[dense][:, np.arange(rows)[:, None] + np.arange(cols)[None, :]]
         u, s, _ = np.linalg.svd(hankels, full_matrices=False)
+        cap = min(max_order, rows - 1)
         for b, s_b, u_b in zip(dense, s, u):
-            found[b] = s_b, u_b, 0
+            found[b] = _decided_order(s_b, np.zeros_like(s_b), cap, rank_threshold), u_b, 0
     return found
 
 
@@ -533,15 +528,13 @@ def line_spectrum_estimate(snapshots, max_order: int, rank_threshold: float):
 
     rows = n - pencil
     triplets = _leading_left_singular(stack, rows, max_order, rank_threshold)
-    orders = [0 if s[0] == 0 else min(int(np.sum(s >= rank_threshold * s[0])), max_order, rows - 1)
-              for s, _, _ in triplets]
     # The shift-invariance eigenvalue problem, one stacked pinv, product and
     # eigvals per model order and width of the left vectors.  Each gives a
     # row bit for bit its lone result; for the product that holds only on
     # slices of the whole stacked left vectors, as its rounding follows the
     # memory layout.
     groups = {}
-    for b, ((_, u, _), order) in enumerate(zip(triplets, orders)):
+    for b, (order, u, _) in enumerate(triplets):
         if order:
             groups.setdefault((order, u.shape[1]), []).append(b)
     roots = {}
@@ -549,15 +542,8 @@ def line_spectrum_estimate(snapshots, max_order: int, rank_threshold: float):
         left = np.stack([triplets[b][1] for b in members])
         shifts = np.linalg.pinv(left[:, :-1, :order]) @ left[:, 1:, :order]
         roots.update(zip(members, np.linalg.eigvals(shifts)))
-    spectra = []
-    for b, (row, (s, _, steps)) in enumerate(zip(stack, triplets)):
-        if s[0] == 0:
-            spectra.append(LineSpectrum(np.empty(0), np.empty(0, dtype=complex), residual=0.0))
-        elif b not in roots:
-            spectra.append(LineSpectrum(np.empty(0), np.empty(0, dtype=complex),
-                                        residual=float(np.linalg.norm(row)), lanczos_steps=steps))
-        else:
-            spectra.append(_fit_amplitudes(row, roots[b], steps))
+    spectra = [_fit_amplitudes(row, roots.get(b, np.empty(0)), steps)
+               for b, (row, (_, _, steps)) in enumerate(zip(stack, triplets))]
     return spectra[0] if x.ndim == 1 else spectra
 
 
@@ -649,8 +635,7 @@ def _project(steering: np.ndarray, probe) -> np.ndarray:
     # steering^H @ probe, with probe None standing for the identity.
     if probe is None:
         return steering.conj().T
-    probe = np.asarray(probe, dtype=complex)
-    return steering.conj().T @ (probe[:, None] if probe.ndim == 1 else probe)
+    return steering.conj().T @ _columns(probe)
 
 
 def _merge_frequencies(detections, tol: float, cap: int, floor: float) -> np.ndarray:
@@ -710,21 +695,24 @@ def _order_cap(n: int) -> int:
 
 def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry,
                 n_chains: int):
-    """Merged path directions at one array, one snapshot per beam.
+    """Merged path directions at one array, one whole-array observation per beam.
 
     With ``receive`` (phase 2) each beam is transmitted and ``geom`` is
-    the receive array; otherwise (phase 3) each beam combines at the
-    receiver and ``geom`` is the transmit array, whose snapshot is the
-    conjugate of the oracle's.  Every snapshot is taken first, in beam
-    order, and the pencil then fits them as one stack.  The pencil's
-    order is capped at :func:`_order_cap` and detections merge within a
-    quarter of the array's resolution, ``0.25 / n``.  Returns ``(snapshots,
-    angles, slots, lanczos_steps)`` with the snapshots as the oracle
-    returned them and each pencil's ``lanczos_steps``.
+    the receive array, sampled by ``oracle.observe(beam, None)``;
+    otherwise (phase 3) each beam combines at the receiver and ``geom``
+    is the transmit array, sampled by ``oracle.observe(None, beam)``,
+    whose conjugate is the snapshot.  Every observation is taken first,
+    in beam order, and the pencil then fits the snapshots as one stack.
+    The pencil's order is capped at :func:`_order_cap` and detections
+    merge within a quarter of the array's resolution, ``0.25 / n``.
+    Returns ``(measurements, angles, slots, lanczos_steps)``: the
+    ``(tx, rx, values)`` triples, ``ceil(n / n_chains)`` training slots
+    per snapshot, and each pencil's ``lanczos_steps``.
     """
     n = geom.n_elements
-    snapshots, slots = zip(*(oracle.snapshot(beam, n_chains, receive) for beam in beams))
-    stack = np.array(snapshots)
+    measurements = [(beam, None, oracle.observe(beam, None)) if receive
+                    else (None, beam, oracle.observe(None, beam)) for beam in beams]
+    stack = np.array([values.ravel() for _, _, values in measurements])
     spectra = line_spectrum_estimate(stack if receive else stack.conj(), _order_cap(n),
                                      _RANK_THRESHOLD)
     detections = [detection for spectrum in spectra
@@ -733,7 +721,7 @@ def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry
     if freqs.size == 0:
         side = "arrival" if receive else "departure"
         raise EstimationFailedError(f"no {side} directions detected")
-    return (list(snapshots), _freq_to_angle(freqs, geom.spacing), sum(slots),
+    return (measurements, _freq_to_angle(freqs, geom.spacing), len(beams) * _slots(n, n_chains),
             tuple(spectrum.lanczos_steps for spectrum in spectra))
 
 
@@ -759,21 +747,17 @@ def estimate_channel(
     EstimationFailedError
         If no arrival or no departure direction survives its phase.
     """
-    n_tx, n_rx = tx_geom.n_elements, rx_geom.n_elements
     tx_cb = dft_codebook(tx_geom, cfg.l_ma)
     rx_cb = dft_codebook(rx_geom, cfg.l_sm)
     beams = _strongest_tx_beams(oracle, tx_cb, rx_cb, cfg.keep)
     tx_beams = [tx_cb.beams[:, i] for i in beams]
-    rx_snaps, aoas, slots_phase2, _ = _directions(oracle, tx_beams, True, rx_geom, cfg.n_bb_sm)
+    rx_measurements, aoas, slots_phase2, _ = _directions(oracle, tx_beams, True, rx_geom,
+                                                         cfg.n_bb_sm)
     back_beams = [steering_vector(rx_geom, aoa) for aoa in aoas]
-    tx_snaps, aods, slots_phase3, steps_phase3 = _directions(oracle, back_beams, False, tx_geom,
-                                                             cfg.n_bb_ma)
-
-    # Phase-3 snapshots enter the fit unconjugated: they are back_beam^H h^H.
-    measurements = [(beam, None, snap.reshape(n_rx, 1)) for beam, snap in zip(tx_beams, rx_snaps)]
-    measurements += [(None, beam, raw.reshape(1, n_tx)) for beam, raw in zip(back_beams, tx_snaps)]
-    coupling, gain_residual = estimate_gains(measurements, aods, aoas, tx_geom, rx_geom,
-                                             cfg.path_loss)
+    tx_measurements, aods, slots_phase3, steps_phase3 = _directions(oracle, back_beams, False,
+                                                                    tx_geom, cfg.n_bb_ma)
+    coupling, gain_residual = estimate_gains(rx_measurements + tx_measurements, aods, aoas,
+                                             tx_geom, rx_geom, cfg.path_loss)
     pairs = _dominant_pairs(coupling)
     paths = PathSet(
         gains=np.array([coupling[i, j] for i, j in pairs]),

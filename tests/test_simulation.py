@@ -292,10 +292,10 @@ class TestGridEvaluator:
 
     @pytest.fixture(scope="class")
     def links(self):
-        # On this draw the hybrid links' budgets leave the refinement after
-        # 0 to 3 improving passes, so the lockstep masking is exercised.
+        # On this draw each hybrid link's budgets leave the refinement after
+        # 0 or 1 improving passes, so the lockstep masking is exercised.
         cfg = ScenarioConfig(
-            n_ma=64, n_sm=16, k_users=2, n_bb_ma=8, n_bb_sm=4, trials=1, master_seed=0,
+            n_ma=64, n_sm=16, k_users=2, n_bb_ma=8, n_bb_sm=4, trials=1, master_seed=2,
             estimation=EstimationConfig(l_ma=64, l_sm=16, keep=4, snr_db=20.0),
             schemes=("hybrid_ideal", "hybrid_estimated", "full_digital"),
         )
