@@ -17,6 +17,7 @@ instances so that Monte Carlo trials can own independent substreams.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,24 +210,51 @@ def assemble_channel(tx: ArrayGeometry, rx: ArrayGeometry, paths: PathSet) -> np
     return scale * ((a_tx * paths.gains) @ a_rx.conj().T)
 
 
+@functools.cache
+def _gram_pairs(size: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of an L x L Gram, built once per size and read-only.
+
+    Returns ``(rows, cols, upper, lower, diagonal)``: ``rows < cols`` run
+    over the strict upper triangle, and ``upper``, ``lower`` and
+    ``diagonal`` are flat indices into the L*L entries of one matrix
+    (``lower`` holds entry (j, i) of pair (i, j)).
+    """
+    rows, cols = np.triu_indices(size, 1)
+    pairs = (rows, cols, rows * size + cols, cols * size + rows, np.arange(size) * (size + 1))
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _steering_gram(geom: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
     """Gram matrices ``A^H A`` of the steering matrices, in closed form.
 
     ``angles`` has shape (..., L); the result has shape (..., L, L) with
     ``G[i, j] = a_i^H a_j = exp(1j*(N-1)*x) * sin(N*x) / (N*sin(x))`` and
-    ``x = pi * spacing * (sin(angles[j]) - sin(angles[i]))``.  Where
+    ``x = pi * spacing * (sin(angles[j]) - sin(angles[i]))``.  Only the
+    pairs i < j are computed: entry (j, i) is the conjugate of (i, j),
+    since x changes sign, and the diagonal is exactly 1.  Where
     ``N*sin(x)`` is 0 the ratio takes its limit ``cos(N*x) / cos(x)``,
-    so the diagonal and entries of equal sines are exactly 1; at a
-    grating lobe the entry is 1 up to rounding.
+    computed on those entries only, so entries of equal sines are exactly
+    1; at a grating lobe the entry is 1 up to rounding.
     """
     n = geom.n_elements
+    size = angles.shape[-1]
+    rows, cols, upper, lower, diagonal = _gram_pairs(size)
     sines = np.sin(angles)
-    x = np.pi * geom.spacing * (sines[..., None, :] - sines[..., :, None])
+    x = np.pi * geom.spacing * (sines[..., cols] - sines[..., rows])
     den = n * np.sin(x)
     limit = den == 0
-    ratio = (np.where(limit, np.cos(n * x), np.sin(n * x))
-             / np.where(limit, np.cos(x), den))
-    return np.exp(1j * (n - 1) * x) * ratio
+    ratio = np.divide(np.sin(n * x), den, out=np.empty_like(x), where=~limit)
+    ratio[limit] = np.cos(n * x[limit]) / np.cos(x[limit])
+    entries = np.exp(1j * (n - 1) * x) * ratio
+    gram = np.empty(angles.shape[:-1] + (size * size,), dtype=complex)
+    gram[..., upper] = entries
+    # Adding 0.0 turns the -0 imaginary part that conj gives an exactly
+    # real entry back into the +0 of the formula at -x.
+    gram[..., lower] = np.conj(entries) + 0.0
+    gram[..., diagonal] = 1.0
+    return gram.reshape(angles.shape + (size,))
 
 
 def singular_energy_profile(

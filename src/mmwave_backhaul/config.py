@@ -12,6 +12,7 @@ parse -> render -> parse is the identity.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import types
@@ -34,15 +35,26 @@ __all__ = [
 
 PRESET_NAMES = ("fig2", "fig5")
 
+# libyaml's emitter when PyYAML was built with it (about 4x faster),
+# else the pure-Python one.  The representer is SafeDumper's either way,
+# and the two emitters write the same text for these configs (the tests
+# compare them on both presets and on random scenarios), so a preset's
+# config_digest does not depend on which one ran.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-def _keys(cls) -> dict:
-    """Config keys of a dataclass: field name -> (annotated type, required)."""
+
+@functools.cache
+def _keys(cls) -> types.MappingProxyType:
+    """Config keys of a dataclass: field name -> (annotated type, required).
+
+    Reflected once per class; the mapping is read-only because it is shared.
+    """
     hints = typing.get_type_hints(cls)
-    return {
+    return types.MappingProxyType({
         f.name: (hints[f.name], f.default is dataclasses.MISSING)
         for f in dataclasses.fields(cls)
         if f.metadata.get("config_key", True)
-    }
+    })
 
 
 def _error(source: str, line: int, message: str) -> ConfigValidationError:
@@ -165,7 +177,7 @@ def parse_config(path) -> ScenarioConfig:
 
 def render_config(cfg: ScenarioConfig) -> str:
     """Serialize a scenario back to YAML (parse -> render -> parse round-trips)."""
-    return yaml.safe_dump(_plain(cfg), sort_keys=True, default_flow_style=None)
+    return yaml.dump(_plain(cfg), Dumper=_DUMPER, sort_keys=True, default_flow_style=None)
 
 
 def _plain(value):

@@ -512,9 +512,13 @@ def line_spectrum_estimate(snapshots, max_order: int, rank_threshold: float):
     ------
     ValueError
         If the snapshots are shorter than 4 samples, ``max_order``
-        exceeds half their length, or the input is neither one snapshot
-        nor a 2-D stack.
+        exceeds half their length, the input is neither one snapshot
+        nor a 2-D stack, or ``rank_threshold`` is not a finite number
+        in [0, 1].
     """
+    if not 0.0 <= rank_threshold <= 1.0:  # NaN fails both comparisons
+        raise ValueError(
+            f"rank_threshold must be a finite number in [0, 1], got {rank_threshold!r}")
     x = np.asarray(snapshots, dtype=complex)
     if x.ndim not in (1, 2):
         raise ValueError("snapshots must be one snapshot or a (B, n) stack")

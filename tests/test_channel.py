@@ -180,6 +180,37 @@ class TestSteeringGram:
         for row, gram in zip(angles, stacked):
             np.testing.assert_array_equal(gram, channel._steering_gram(geom, row))
 
+    @staticmethod
+    def full_matrix_gram(geom, angles):
+        # Every entry from the closed form, the limit taken wherever
+        # N*sin(x) is 0: the reference the triangle route must match.
+        n = geom.n_elements
+        sines = np.sin(angles)
+        x = np.pi * geom.spacing * (sines[..., None, :] - sines[..., :, None])
+        den = n * np.sin(x)
+        limit = den == 0
+        ratio = (np.where(limit, np.cos(n * x), np.sin(n * x))
+                 / np.where(limit, np.cos(x), den))
+        return np.exp(1j * (n - 1) * x) * ratio
+
+    @pytest.mark.parametrize("spacing", [0.3, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [4, 16, 32, 512])
+    def test_bit_for_bit_full_matrix(self, n, spacing):
+        # Compared as raw bits, so a -0 where the formula gives +0 fails.
+        geom = ArrayGeometry(n, spacing)
+        rng = np.random.default_rng(n)
+        theta = 0.7
+        # An exact collision, equal sines, a grating lobe at spacing 1.
+        special = [theta, theta, np.pi - theta, np.pi / 2, 0.0]
+        for size in range(1, 9):
+            angles = rng.uniform(0.0, 2.0 * np.pi, (3, size))
+            angles[0] = special[:size] + [0.1 * k for k in range(size - len(special))]
+            for case in (angles, angles[1]):
+                gram = channel._steering_gram(geom, case)
+                reference = self.full_matrix_gram(geom, case)
+                assert gram.shape == reference.shape == case.shape + (size,)
+                np.testing.assert_array_equal(gram.view(np.uint64), reference.view(np.uint64))
+
 
 class TestSingularEnergyProfile:
     @pytest.mark.parametrize("n_paths", range(1, 7))

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import platform
 import subprocess
@@ -6,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,7 @@ from mmwave_backhaul import (
     parse_config,
     write_manifest,
 )
-from mmwave_backhaul import cli
+from mmwave_backhaul import cli, config
 from mmwave_backhaul.config import parse_config_text, preset_scenarios, render_config
 from subprocess_env import child_env
 
@@ -163,7 +165,9 @@ class TestParseConfig:
     @settings(max_examples=100, deadline=None)
     @given(scenarios())
     def test_round_trip_property(self, cfg):
-        assert parse_config_text(render_config(cfg)) == cfg
+        text = render_config(cfg)
+        assert parse_config_text(text) == cfg
+        assert text == yaml.safe_dump(config._plain(cfg), sort_keys=True, default_flow_style=None)
 
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "scenario.yaml"
@@ -197,6 +201,42 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigValidationError):
             preset_scenarios("fig9")
+
+
+class TestDigestRendering:
+    """A preset's config_digest hashes its scenarios rendered as YAML."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig5"])
+    def test_render_is_the_safe_dump(self, name):
+        # Whichever emitter render_config uses writes SafeDumper's text.
+        for seed in (None, 0, 1, 42, 2**63 - 1, 2**64 - 1):
+            for trials in (None, 1, 50, 10**6):
+                for cfg in preset_scenarios(name, seed=seed, trials=trials):
+                    assert render_config(cfg) == yaml.safe_dump(
+                        config._plain(cfg), sort_keys=True, default_flow_style=None)
+
+    def test_digest_without_libyaml(self, tmp_path, monkeypatch):
+        def digest(out):
+            argv = ["rank-profile", "--preset", "fig2", "--trials", "2", "--out", str(out)]
+            assert cli.main(argv) == 0
+            return json.loads((out / "manifest.json").read_text())["config_digest"]
+
+        with_default = digest(tmp_path / "default")
+        # A second copy of the config module, loaded as if PyYAML had no
+        # libyaml; the package's own modules stay as they are.
+        monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+        spec = importlib.util.find_spec("mmwave_backhaul.config")
+        pure = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(pure)
+        assert pure._DUMPER is yaml.SafeDumper
+        monkeypatch.setattr(cli, "render_config", pure.render_config)
+        assert digest(tmp_path / "pure") == with_default
+
+    def test_keys_reflected_once_and_read_only(self):
+        keys = config._keys(ScenarioConfig)
+        assert config._keys(ScenarioConfig) is keys
+        with pytest.raises(TypeError):
+            keys["trials"] = (int, False)
 
 
 class TestEmitCsv:

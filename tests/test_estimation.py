@@ -255,6 +255,18 @@ class TestLineSpectrum:
         with pytest.raises(ValueError):
             line_spectrum_estimate(snap[:3], 1, 1e-6)
 
+    def test_rank_threshold_range(self):
+        # One tone in noise, 512 elements: a threshold of 0 keeps every
+        # singular value up to the cap, 1 keeps only the largest.
+        rng = np.random.default_rng(0)
+        snap = self.synth([0.123], [1.0], 512) + 0.01 * (
+            rng.standard_normal(512) + 1j * rng.standard_normal(512))
+        assert line_spectrum_estimate(snap, 8, 0.0).order == 8
+        assert line_spectrum_estimate(snap, 8, 1.0).order == 1
+        for threshold in (1.5, np.nan, -0.5, np.inf):
+            with pytest.raises(ValueError, match="rank_threshold"):
+                line_spectrum_estimate(snap, 8, threshold)
+
 
 class TestTruncatedPencil:
     """The n=512 pencil takes its leading triplets from a short Lanczos run."""
