@@ -189,7 +189,7 @@ def main(argv=None) -> int:
             emit_csv(table, path)
             print(f"wrote {path} ({len(table.rows)} rows)")
         write_manifest(out_dir, _config_bytes(args, scenarios), scenarios[0].master_seed,
-                       paths, stage_seconds)
+                       scenarios[0].trials, paths, stage_seconds)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

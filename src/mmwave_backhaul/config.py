@@ -23,7 +23,7 @@ import yaml
 
 from .errors import ConfigNotFoundError, ConfigSyntaxError, ConfigValidationError
 from .estimation import EstimationConfig
-from .simulation import ALLOCATIONS, ScenarioConfig
+from .simulation import ALLOCATIONS, SCHEMES, ScenarioConfig
 
 __all__ = [
     "parse_config",
@@ -216,7 +216,7 @@ def preset_scenarios(name: str, seed: int | None = None, trials: int | None = No
                 k_factor_db=k_factor, l_min=2, l_max=6,
                 snr_grid_db=tuple(float(s) for s in range(-10, 35, 5)),
                 trials=100,
-                schemes=("hybrid_ideal", "hybrid_estimated", "full_digital"),
+                schemes=SCHEMES,
                 allocation=allocation,
                 estimation=EstimationConfig(),
             )

@@ -3,10 +3,11 @@
 CSV output is byte-stable: fixed column order, 12 significant digits,
 rows pre-sorted, LF newlines.  Every CLI run writes a manifest holding
 the SHA-256 digest of the exact config bytes it ran (hash a config the
-same way to check that it is the one a run used), the environment the
-numbers came from (the Python and numpy versions, numpy's BLAS library
-and its thread variables) and the wall time of each stage.  Nothing in
-the package reads a manifest back.
+same way to check that it is the one a run used), its trial count after
+any ``--trials`` override (which a config file's bytes do not show), the
+environment the numbers came from (the Python and numpy versions,
+numpy's BLAS library and its thread variables) and the wall time of each
+stage.  Nothing in the package reads a manifest back.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def emit_csv(table, path) -> None:
             handle.write(line + "\n")
 
 
-def write_manifest(out_dir, config_bytes: bytes, master_seed: int, outputs,
+def write_manifest(out_dir, config_bytes: bytes, master_seed: int, trials: int, outputs,
                    stage_seconds=None) -> str:
     """Write manifest.json next to the outputs; returns its path."""
     from . import __version__
@@ -78,6 +79,7 @@ def write_manifest(out_dir, config_bytes: bytes, master_seed: int, outputs,
         "config_digest": hashlib.sha256(config_bytes).hexdigest(),
         "tool_version": __version__,
         "master_seed": int(master_seed),
+        "trials": int(trials),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [os.path.basename(os.fspath(p)) for p in outputs],
         # The run's environment.  ``thread_env`` maps each of

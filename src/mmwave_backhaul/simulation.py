@@ -1,18 +1,18 @@
 """Monte Carlo sum-capacity evaluation of the link schemes.
 
-Three schemes share one construction.  Each user's channel is kept as
-its paths (steering matrices and gains), and its singular triplets come
-from the at most L x L path core; the user gets one stream per
-non-zero singular value, up to ``n_bb_sm`` for the ``hybrid_*``
-schemes and ``n_sm`` for ``full_digital``.  The per-user factors feed
-a stacked multi-user zero-forcing design, the composite precoder is
+Every scheme is one row of ``_SCHEME_ROWS`` (the CSI it designs on, the
+field that caps its streams per user, whether it is factorized), and all
+share one construction.  Each user's channel is kept as its paths
+(steering matrices and gains), and its singular triplets come from the
+at most L x L path core; the user gets one stream per non-zero singular
+value, up to the row's cap.  The per-user factors feed a stacked
+multi-user zero-forcing design, the composite precoder is
 column-normalized so per-stream transmit powers are explicit, and the
 budget is spread equally or by waterfilling (with a few
 interference-aware refinement passes, so the chosen allocation never
-falls below the equal split on the design-side capacity).  ``hybrid_*``
-schemes factorize the per-user precoders/combiners through the
-constant-modulus stage first and keep them in ``_Link.factors``;
-``full_digital`` keeps the exact factors.
+falls below the equal split on the design-side capacity).  A factorized
+row's precoders/combiners pass the constant-modulus stage first and stay
+in ``_Link.factors``; the others are exact.
 Each link keeps every user's combined outputs whitened by its noise
 covariance, computed once when the link is built, and one evaluator,
 :func:`user_capacity`, gives every capacity from them; capacity always
@@ -76,7 +76,14 @@ __all__ = [
     "run_scenario",
 ]
 
-SCHEMES = ("hybrid_ideal", "hybrid_estimated", "full_digital")
+# Per scheme: the paths it designs on ("truth" or "estimates"), the field capping its streams
+# per user, and whether it is factorized through the constant-modulus stage.
+_SCHEME_ROWS = {
+    "hybrid_ideal": ("truth", "n_bb_sm", True),
+    "hybrid_estimated": ("estimates", "n_bb_sm", True),
+    "full_digital": ("truth", "n_sm", False),
+}
+SCHEMES = tuple(_SCHEME_ROWS)
 ALLOCATIONS = ("waterfilling", "equal")
 
 _DEFAULT_SNR_GRID = tuple(float(s) for s in range(-10, 35, 5))
@@ -111,7 +118,8 @@ class ScenarioConfig:
     path_loss: float = 1.0
     snr_grid_db: tuple[float, ...] = _DEFAULT_SNR_GRID
     trials: int = 100
-    schemes: tuple[str, ...] = ("hybrid_ideal", "full_digital")
+    # By default every scheme that designs on the truth, so no estimation section is needed.
+    schemes: tuple[str, ...] = tuple(s for s in _SCHEME_ROWS if _SCHEME_ROWS[s][0] == "truth")
     allocation: str = "waterfilling"
     estimation: EstimationConfig | None = None
     master_seed: int = 0
@@ -135,11 +143,6 @@ class ScenarioConfig:
             raise ConfigValidationError(
                 f"invariant n_bb_ma <= n_ma violated: {self.n_bb_ma} > {self.n_ma}"
             )
-        if "full_digital" in self.schemes and self.k_users * self.n_sm > self.n_ma:
-            raise ConfigValidationError(
-                f"full_digital needs k_users*n_sm <= n_ma: "
-                f"{self.k_users}*{self.n_sm} > {self.n_ma}"
-            )
         try:  # the path law and the element spacing check themselves
             self.path_distribution()
             self.macro_geometry()
@@ -161,10 +164,14 @@ class ScenarioConfig:
                 raise ConfigValidationError(
                     f"unknown scheme {scheme!r} in schemes (choose from {', '.join(SCHEMES)})"
                 )
+            source, cap, _ = _SCHEME_ROWS[scheme]  # n_bb_sm rows pass the chain invariants
+            if self.k_users * getattr(self, cap) > self.n_ma:
+                raise ConfigValidationError(f"{scheme} needs k_users*{cap} <= n_ma: "
+                                            f"{self.k_users}*{getattr(self, cap)} > {self.n_ma}")
+            if source == "estimates" and self.estimation is None:
+                raise ConfigValidationError(f"{scheme} requires an estimation section")
         if self.allocation not in ALLOCATIONS:
             raise ConfigValidationError(f"unknown allocation {self.allocation!r}")
-        if "hybrid_estimated" in self.schemes and self.estimation is None:
-            raise ConfigValidationError("hybrid_estimated requires an estimation section")
         if self.estimation is not None:
             # The estimator samples the scenario's arrays with its chains.
             object.__setattr__(self, "estimation", dataclasses.replace(
@@ -497,17 +504,13 @@ def _trial_links(cfg: ScenarioConfig, trial: int) -> dict:
     tx_geom, rx_geom = cfg.macro_geometry(), cfg.small_geometry()
     paths = _trial_paths(cfg, trial)
     truth = [_UserChannel.from_paths(tx_geom, rx_geom, p) for p in paths]
-
-    links = {}
-    if "hybrid_ideal" in cfg.schemes:
-        links["hybrid_ideal"] = _build_link(truth, truth, cfg.n_bb_sm, factorized=True)
-    if "hybrid_estimated" in cfg.schemes:
-        estimates = [_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths)
-                     for _, report in _trial_estimates(cfg, trial, paths)]
-        links["hybrid_estimated"] = _build_link(estimates, truth, cfg.n_bb_sm, factorized=True)
-    if "full_digital" in cfg.schemes:
-        links["full_digital"] = _build_link(truth, truth, cfg.n_sm, factorized=False)
-    return links
+    rows = {scheme: _SCHEME_ROWS[scheme] for scheme in cfg.schemes}
+    designs = {"truth": truth}
+    if any(source == "estimates" for source, _, _ in rows.values()):
+        designs["estimates"] = [_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths)
+                                for _, report in _trial_estimates(cfg, trial, paths)]
+    return {scheme: _build_link(designs[source], truth, getattr(cfg, cap), factorized)
+            for scheme, (source, cap, factorized) in rows.items()}
 
 
 def run_scenario(cfg: ScenarioConfig) -> CapacityResult:

@@ -289,16 +289,17 @@ def load_manifest(path):
 class TestManifest:
     def test_digest_round_trip(self, tmp_path):
         config_bytes = MINIMAL.encode()
-        manifest = load_manifest(write_manifest(tmp_path, config_bytes, 7,
+        manifest = load_manifest(write_manifest(tmp_path, config_bytes, 7, 3,
                                                 [tmp_path / "capacity.csv"]))
         assert manifest["master_seed"] == 7
+        assert manifest["trials"] == 3
         assert manifest["outputs"] == ["capacity.csv"]
         assert manifest["config_digest"] == hashlib.sha256(config_bytes).hexdigest()
 
     def test_keys_are_the_documented_set(self, tmp_path):
-        manifest = load_manifest(write_manifest(tmp_path, b"", 7, []))
+        manifest = load_manifest(write_manifest(tmp_path, b"", 7, 3, []))
         assert set(manifest) == {
-            "config_digest", "tool_version", "master_seed", "timestamp", "outputs",
+            "config_digest", "tool_version", "master_seed", "trials", "timestamp", "outputs",
             "python_version", "numpy_version", "blas_name", "blas_version", "thread_env",
             "stage_seconds",
         }
@@ -306,7 +307,7 @@ class TestManifest:
     def test_environment_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        manifest = load_manifest(write_manifest(tmp_path, MINIMAL.encode(), 7,
+        manifest = load_manifest(write_manifest(tmp_path, MINIMAL.encode(), 7, 3,
                                                 [tmp_path / "capacity.csv"]))
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
@@ -317,12 +318,12 @@ class TestManifest:
 
     def test_stage_seconds_round_trip(self, tmp_path):
         stages = {"l=1": 0.25, "l=2": 1.5}
-        assert load_manifest(write_manifest(tmp_path, MINIMAL.encode(), 7, [], stages))[
+        assert load_manifest(write_manifest(tmp_path, MINIMAL.encode(), 7, 3, [], stages))[
             "stage_seconds"] == stages
-        assert load_manifest(write_manifest(tmp_path, b"", 7, []))["stage_seconds"] == {}
+        assert load_manifest(write_manifest(tmp_path, b"", 7, 3, []))["stage_seconds"] == {}
 
     def test_digest_is_sha256(self, tmp_path):
-        assert load_manifest(write_manifest(tmp_path, b"abc", 7, []))["config_digest"] == (
+        assert load_manifest(write_manifest(tmp_path, b"abc", 7, 3, []))["config_digest"] == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
 
@@ -559,3 +560,16 @@ class TestCliEndToEnd:
             assert proc.returncode == 0, proc.stderr
             outs.append((out / "capacity.csv").read_bytes())
         assert outs[0] != outs[1]
+
+    def test_manifest_records_trials_override(self, tmp_path):
+        # A config file's digest hashes its bytes, which do not show --trials.
+        cfg = self.write_config(tmp_path)
+        manifests = []
+        for trials in ("1", "2"):
+            out = tmp_path / f"trials{trials}"
+            assert cli.main(["capacity-sweep", "--config", str(cfg), "--trials", trials,
+                             "--out", str(out)]) == 0
+            assert len((out / "capacity.csv").read_text().splitlines()) == 1 + 2 * 2 * int(trials)
+            manifests.append(load_manifest(out / "manifest.json"))
+        assert [m["trials"] for m in manifests] == [1, 2]
+        assert manifests[0]["config_digest"] == manifests[1]["config_digest"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,23 @@ class TestRunScenario:
         cfg = self.small_config()
         a, b = run_scenario(cfg), run_scenario(cfg)
         assert a.rows == b.rows
+
+    def test_rows_do_not_depend_on_the_scheme_subset(self, monkeypatch):
+        cfg = self.small_config(schemes=("full_digital", "hybrid_estimated", "hybrid_ideal"),
+                                trials=2, snr_grid_db=(0.0, 20.0),
+                                estimation=EstimationConfig(l_ma=64, l_sm=8))
+        together = run_scenario(cfg).rows
+        for scheme in cfg.schemes:
+            alone = run_scenario(dataclasses.replace(cfg, schemes=(scheme,))).rows
+            assert alone and alone == [r for r in together if r.scheme == scheme]
+
+        def no_estimates(*args):
+            raise AssertionError("estimated without an estimates-designed scheme")
+
+        # Without hybrid_estimated no trial estimates its channels.
+        monkeypatch.setattr(simulation, "_trial_estimates", no_estimates)
+        exact = run_scenario(dataclasses.replace(cfg, schemes=("hybrid_ideal", "full_digital")))
+        assert exact.rows == [r for r in together if r.scheme != "hybrid_estimated"]
 
     def test_capacity_monotone_in_snr_per_trial(self):
         cfg = self.small_config(snr_grid_db=tuple(range(-10, 35, 5)), trials=6)
