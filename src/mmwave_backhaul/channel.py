@@ -1,4 +1,4 @@
-"""Sparse geometric multipath channels for uniform linear arrays.
+"""Sparse geometric multipath channels for half-wavelength uniform linear arrays.
 
 A channel realization is a sum of a small number of plane-wave paths,
 each carrying a complex gain, a departure angle at the transmit array
@@ -36,20 +36,18 @@ __all__ = [
 # Draws per stacked pass of singular_energy_profile; memory is
 # O(_PROFILE_CHUNK * L**2) whatever the trial count.
 _PROFILE_CHUNK = 1024
+_SPACING = 0.5  # element spacing in wavelengths: every array is half-wavelength
 
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear array: element count and spacing in wavelengths."""
+    """Uniform linear array of ``n_elements`` elements."""
 
     n_elements: int
-    spacing: float = 0.5
 
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
 
 
 @dataclass
@@ -126,18 +124,18 @@ def _db_to_linear(value_db: float) -> float:
 def steering_vector(geom: ArrayGeometry, angle: float) -> np.ndarray:
     """Unit-norm array response of a ULA to a plane wave from ``angle``.
 
-    Element m equals ``exp(2j*pi*spacing*m*sin(angle)) / sqrt(N)``,
-    with the spacing measured in wavelengths: the one column of
+    Element m equals ``exp(1j*pi*m*sin(angle)) / sqrt(N)``, the
+    response at half-wavelength spacing: the one column of
     ``steering_matrix(geom, angle)``.
     """
     return steering_matrix(geom, angle)[:, 0]
 
 
 def steering_matrix(geom: ArrayGeometry, angles) -> np.ndarray:
-    """Stack steering vectors for several angles into an (N, len) matrix."""
+    """Stack half-wavelength steering vectors for several angles into an (N, len) matrix."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     m = np.arange(geom.n_elements)[:, None]
-    phases = 2.0 * np.pi * geom.spacing * np.sin(angles)[None, :]
+    phases = 2.0 * np.pi * _SPACING * np.sin(angles)[None, :]
     return np.exp(1j * phases * m) / np.sqrt(geom.n_elements)
 
 
@@ -231,7 +229,7 @@ def _steering_gram(geom: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
 
     ``angles`` has shape (..., L); the result has shape (..., L, L) with
     ``G[i, j] = a_i^H a_j = exp(1j*(N-1)*x) * sin(N*x) / (N*sin(x))`` and
-    ``x = pi * spacing * (sin(angles[j]) - sin(angles[i]))``.  Only the
+    ``x = pi * _SPACING * (sin(angles[j]) - sin(angles[i]))``.  Only the
     pairs i < j are computed: entry (j, i) is the conjugate of (i, j),
     since x changes sign, and the diagonal is exactly 1.  Where
     ``N*sin(x)`` is 0 the ratio takes its limit ``cos(N*x) / cos(x)``,
@@ -242,7 +240,7 @@ def _steering_gram(geom: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
     size = angles.shape[-1]
     rows, cols, upper, lower, diagonal = _gram_pairs(size)
     sines = np.sin(angles)
-    x = np.pi * geom.spacing * (sines[..., cols] - sines[..., rows])
+    x = np.pi * _SPACING * (sines[..., cols] - sines[..., rows])
     den = n * np.sin(x)
     limit = den == 0
     ratio = np.divide(np.sin(n * x), den, out=np.empty_like(x), where=~limit)

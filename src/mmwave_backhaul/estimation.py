@@ -26,6 +26,7 @@ import numpy as np
 from .channel import (
     ArrayGeometry,
     PathSet,
+    _SPACING,
     _channel_scale,
     _db_to_linear,
     assemble_channel,
@@ -186,9 +187,9 @@ def dft_codebook(geom: ArrayGeometry, size: int) -> Codebook:
 
     Beam m points at ``asin(-1 + (2m+1)/size)``, the midpoints of a
     uniform sin-space grid; every column is a unit-norm steering vector.
-    At critical sampling (size == n_elements, half-wavelength spacing)
-    the columns are mutually orthogonal.  The arrays are built once per
-    (geometry, size) and shared read-only between calls.
+    At critical sampling (size == n_elements) the columns are mutually
+    orthogonal.  The arrays are built once per (geometry, size) and
+    shared read-only between calls.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -670,9 +671,9 @@ def _merge_frequencies(detections, tol: float, cap: int, floor: float) -> np.nda
     return np.asarray(centers)
 
 
-def _freq_to_angle(freqs: np.ndarray, spacing: float) -> np.ndarray:
-    sines = np.clip(freqs / spacing, -1.0, 1.0)
-    return np.mod(np.arcsin(sines), 2.0 * np.pi)
+def _freq_to_angle(freqs: np.ndarray) -> np.ndarray:
+    # Merged pencil frequencies lie in [-0.5, 0.5], so the sines lie in [-1, 1].
+    return np.mod(np.arcsin(freqs / _SPACING), 2.0 * np.pi)
 
 
 def _dominant_pairs(coupling: np.ndarray):
@@ -725,7 +726,7 @@ def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry
     if freqs.size == 0:
         side = "arrival" if receive else "departure"
         raise EstimationFailedError(f"no {side} directions detected")
-    return (measurements, _freq_to_angle(freqs, geom.spacing), len(beams) * _slots(n, n_chains),
+    return (measurements, _freq_to_angle(freqs), len(beams) * _slots(n, n_chains),
             tuple(spectrum.lanczos_steps for spectrum in spectra))
 
 

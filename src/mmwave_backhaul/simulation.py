@@ -114,7 +114,6 @@ class ScenarioConfig:
     k_factor_db: float = 0.0
     l_min: int = 2
     l_max: int = 6
-    spacing: float = 0.5
     path_loss: float = 1.0
     snr_grid_db: tuple[float, ...] = _DEFAULT_SNR_GRID
     trials: int = 100
@@ -143,9 +142,8 @@ class ScenarioConfig:
             raise ConfigValidationError(
                 f"invariant n_bb_ma <= n_ma violated: {self.n_bb_ma} > {self.n_ma}"
             )
-        try:  # the path law and the element spacing check themselves
+        try:  # the path law checks itself
             self.path_distribution()
-            self.macro_geometry()
         except ValueError as exc:
             raise ConfigValidationError(str(exc)) from None
         # A subnormal path loss parses but overflows the channel's scale.
@@ -155,10 +153,14 @@ class ScenarioConfig:
         if not self.snr_grid_db:
             raise ConfigValidationError("snr_grid_db must be a non-empty list")
         self.budgets()  # each budget must be finite and positive
+        if len(set(self.snr_grid_db)) < len(self.snr_grid_db):
+            raise ConfigValidationError("snr_grid_db must not list an SNR twice")
         if self.trials < 1:
             raise ConfigValidationError("trials must be >= 1")
         if not self.schemes:
             raise ConfigValidationError("schemes must be a non-empty list")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigValidationError("schemes must not list a scheme twice")
         for scheme in self.schemes:
             if scheme not in SCHEMES:
                 raise ConfigValidationError(
@@ -169,7 +171,7 @@ class ScenarioConfig:
                 raise ConfigValidationError(f"{scheme} needs k_users*{cap} <= n_ma: "
                                             f"{self.k_users}*{getattr(self, cap)} > {self.n_ma}")
             if source == "estimates" and self.estimation is None:
-                raise ConfigValidationError(f"{scheme} requires an estimation section")
+                raise ConfigValidationError(f"{scheme} in schemes requires an estimation section")
         if self.allocation not in ALLOCATIONS:
             raise ConfigValidationError(f"unknown allocation {self.allocation!r}")
         if self.estimation is not None:
@@ -192,10 +194,10 @@ class ScenarioConfig:
             raise ConfigValidationError("master_seed must be non-negative")
 
     def macro_geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(self.n_ma, self.spacing)
+        return ArrayGeometry(self.n_ma)
 
     def small_geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(self.n_sm, self.spacing)
+        return ArrayGeometry(self.n_sm)
 
     def path_distribution(self) -> PathDistribution:
         return PathDistribution(self.l_min, self.l_max, self.k_factor_db, self.path_loss)

@@ -17,29 +17,27 @@ from mmwave_backhaul import channel
 
 class TestSteeringVector:
     def test_broadside_is_uniform(self):
-        v = steering_vector(ArrayGeometry(4, 0.5), 0.0)
+        v = steering_vector(ArrayGeometry(4), 0.0)
         np.testing.assert_allclose(v, 0.5 * np.ones(4), atol=1e-15)
 
     def test_endfire_two_elements(self):
-        v = steering_vector(ArrayGeometry(2, 0.5), np.pi / 2)
+        v = steering_vector(ArrayGeometry(2), np.pi / 2)
         np.testing.assert_allclose(v, np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-15)
 
     def test_unit_norm_large_array(self):
-        v = steering_vector(ArrayGeometry(512, 0.5), 1.234)
+        v = steering_vector(ArrayGeometry(512), 1.234)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
     def test_unit_norm_random_angles(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            geom = ArrayGeometry(int(rng.integers(1, 100)), float(rng.uniform(0.1, 2.0)))
+            geom = ArrayGeometry(int(rng.integers(1, 100)))
             v = steering_vector(geom, rng.uniform(0, 2 * np.pi))
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             ArrayGeometry(0)
-        with pytest.raises(ValueError):
-            ArrayGeometry(4, 0.0)
 
 
 class TestSamplePaths:
@@ -90,7 +88,7 @@ class TestSamplePaths:
 
 class TestAssembleChannel:
     def test_single_path_frobenius_norm(self):
-        tx, rx = ArrayGeometry(4, 0.5), ArrayGeometry(2, 0.5)
+        tx, rx = ArrayGeometry(4), ArrayGeometry(2)
         h = assemble_channel(tx, rx, PathSet(gains=[1.0], aods=[0.3], aoas=[1.1]))
         assert h.shape == (4, 2)
         assert abs(np.linalg.norm(h) - np.sqrt(8.0)) <= 1e-12
@@ -157,14 +155,14 @@ def assert_matches_dense(tx, rx, dist, trials, seed):
 
 
 class TestSteeringGram:
-    @pytest.mark.parametrize("spacing", [0.3, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0, 1.5])
     @pytest.mark.parametrize("n", [4, 16, 32, 512])
-    def test_matches_dense_gram(self, n, spacing):
-        geom = ArrayGeometry(n, spacing)
-        theta = 0.7
-        # An exact collision, equal sines (theta and pi - theta), a grating
-        # lobe at spacing 1 (pi/2 against 0), then random angles.
-        angles = np.concatenate([[theta, theta, np.pi - theta, np.pi / 2, 0.0],
+    def test_matches_dense_gram(self, n, theta):
+        geom = ArrayGeometry(n)
+        # An exact collision, equal sines (theta and pi - theta), the
+        # endfire pair (pi/2 against 3*pi/2, where x = -pi and N*sin(x) is
+        # rounding, not 0), then random angles.
+        angles = np.concatenate([[theta, theta, np.pi - theta, np.pi / 2, 1.5 * np.pi],
                                  np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, 5)])
         a = steering_matrix(geom, angles)
         gram = channel._steering_gram(geom, angles)
@@ -186,22 +184,21 @@ class TestSteeringGram:
         # N*sin(x) is 0: the reference the triangle route must match.
         n = geom.n_elements
         sines = np.sin(angles)
-        x = np.pi * geom.spacing * (sines[..., None, :] - sines[..., :, None])
+        x = np.pi * channel._SPACING * (sines[..., None, :] - sines[..., :, None])
         den = n * np.sin(x)
         limit = den == 0
         ratio = (np.where(limit, np.cos(n * x), np.sin(n * x))
                  / np.where(limit, np.cos(x), den))
         return np.exp(1j * (n - 1) * x) * ratio
 
-    @pytest.mark.parametrize("spacing", [0.3, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0, 1.5])
     @pytest.mark.parametrize("n", [4, 16, 32, 512])
-    def test_bit_for_bit_full_matrix(self, n, spacing):
+    def test_bit_for_bit_full_matrix(self, n, theta):
         # Compared as raw bits, so a -0 where the formula gives +0 fails.
-        geom = ArrayGeometry(n, spacing)
+        geom = ArrayGeometry(n)
         rng = np.random.default_rng(n)
-        theta = 0.7
-        # An exact collision, equal sines, a grating lobe at spacing 1.
-        special = [theta, theta, np.pi - theta, np.pi / 2, 0.0]
+        # An exact collision, equal sines, the endfire pair (x = -pi).
+        special = [theta, theta, np.pi - theta, np.pi / 2, 1.5 * np.pi]
         for size in range(1, 9):
             angles = rng.uniform(0.0, 2.0 * np.pi, (3, size))
             angles[0] = special[:size] + [0.1 * k for k in range(size - len(special))]

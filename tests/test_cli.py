@@ -39,7 +39,6 @@ n_bb_ma: 4
 n_bb_sm: 2
 """
 
-POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # dB values whose linear ratios are finite and positive.
 DECIBELS = st.floats(-300.0, 300.0)
 # Path losses whose steering scale, and observation noise variance over
@@ -71,8 +70,8 @@ def scenarios(draw):
         n_ma=draw(st.integers(n_ma_min, 1024)), n_sm=n_sm, k_users=k_users,
         n_bb_ma=n_bb_ma, n_bb_sm=n_bb_sm,
         k_factor_db=draw(DECIBELS), l_min=l_min, l_max=draw(st.integers(l_min, 12)),
-        spacing=draw(POSITIVE), path_loss=draw(PATH_LOSSES),
-        snr_grid_db=tuple(draw(st.lists(DECIBELS, min_size=1, max_size=5))),
+        path_loss=draw(PATH_LOSSES),
+        snr_grid_db=tuple(draw(st.lists(DECIBELS, min_size=1, max_size=5, unique=True))),
         trials=draw(st.integers(1, 10**6)), schemes=schemes,
         allocation=draw(st.sampled_from(ALLOCATIONS)), estimation=estimation,
         master_seed=draw(st.integers(0, 2**64 - 1)),
@@ -82,7 +81,6 @@ def scenarios(draw):
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config_text(MINIMAL)
-        assert cfg.spacing == 0.5
         assert cfg.path_loss == 1.0
         assert (cfg.l_min, cfg.l_max) == (2, 6)
         assert cfg.allocation == "waterfilling"
@@ -94,10 +92,12 @@ class TestParseConfig:
             parse_config_text(bad)
 
     def test_unknown_key_rejected_with_line(self):
-        # The noise variance is fixed at 1 and the estimator's rank
-        # threshold, path cap and merge gate are constants: none is a key.
+        # The noise variance is fixed at 1, the arrays are half-wavelength,
+        # and the estimator's rank threshold, path cap and merge gate are
+        # constants: none is a key.
         for extra, key, line in (("beam_count: 7\n", "beam_count", 6),
                                  ("noise_var: 1.0\n", "noise_var", 6),
+                                 ("spacing: 0.5\n", "spacing", 6),
                                  ("estimation:\n  rank_threshold: 0.01\n", "rank_threshold", 7),
                                  ("estimation:\n  keep: 8\n  max_paths: 8\n", "max_paths", 8),
                                  ("estimation:\n  merge_tol: 0.01\n", "merge_tol", 7)):
@@ -140,12 +140,15 @@ class TestParseConfig:
         ("trials: null\n", "trials", 6),
         ("k_factor_db: null\n", "k_factor_db", 6),
         ("spacing: .nan\n", "spacing", 6),
-        ("noise_var: .inf\n", "noise_var", 6),  # noise_var, merge_tol: unknown keys
+        ("noise_var: .inf\n", "noise_var", 6),  # spacing, noise_var, merge_tol: unknown keys
         ("k_factor_db: true\n", "k_factor_db", 6),
         ("snr_grid_db: [true, 10]\n", "snr_grid_db", 6),
         ("estimation: {keep: null}\n", "keep", 6),
         ("estimation:\n  snr_db: .nan\n", "snr_db", 7),
-        ("spacing: 0.5\npath_loss: 1.0\nmaster_seed: -1\n", "master_seed", 8),
+        ("l_min: 2\npath_loss: 1.0\nmaster_seed: -1\n", "master_seed", 8),
+        ("schemes: [hybrid_ideal, full_digital, hybrid_ideal]\n", "schemes", 6),
+        ("snr_grid_db: [0, 10, 0.0]\n", "snr_grid_db", 6),
+        ("schemes: [hybrid_estimated]\n", "schemes", 6),
         ("estimation:\n  merge_tol: 0\n", "merge_tol", 7),
         ("estimation:\n  merge_tol: -1\n", "merge_tol", 7),
     ])

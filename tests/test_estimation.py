@@ -68,7 +68,7 @@ class TestDftCodebook:
         for array in (first.beams, first.angles):
             with pytest.raises(ValueError):
                 array[0] = 0
-        assert dft_codebook(ArrayGeometry(16, 0.4), 16).beams is not first.beams
+        assert dft_codebook(ArrayGeometry(17), 16).beams is not first.beams
 
 
 class TestCoarseSweep:
@@ -235,7 +235,7 @@ class TestLineSpectrum:
             assert spec.residual <= 1e-9 * np.linalg.norm(snap)
 
     def test_steering_vector_frequency_convention(self):
-        geom = ArrayGeometry(24, 0.5)
+        geom = ArrayGeometry(24)
         angle = 2.0
         spec = line_spectrum_estimate(steering_vector(geom, angle), 3, 1e-6)
         assert abs(spec.frequencies[0] - 0.5 * np.sin(angle)) <= 1e-9

@@ -383,8 +383,8 @@ class TestFullDigitalBaseline:
         assert capacity == pytest.approx(expected, rel=1e-9)
 
     def test_orthogonal_single_antenna_users_closed_form(self):
-        tx = ArrayGeometry(8, 0.5)
-        rx = ArrayGeometry(1, 0.5)
+        tx = ArrayGeometry(8)
+        rx = ArrayGeometry(1)
         angles = [0.0, np.arcsin(0.25)]  # orthogonal transmit responses
         gains = [0.9 + 0.3j, -0.2 + 1.1j]
         channels = [
