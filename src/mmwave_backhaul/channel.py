@@ -8,8 +8,10 @@ which is what the precoding and estimation stages exploit.  The rank
 profile uses that structure directly: the Gram matrix ``A^H A`` of a
 ULA's steering vectors has a closed form, the Dirichlet kernel (array
 factor), so the channel's non-zero squared singular values are the
-eigenvalues of an L x L matrix built from the two Grams and the gains,
-and neither a steering matrix nor the full-size channel is formed.
+eigenvalues of an L x L matrix built from the gains, the receive Gram
+and a Cholesky factor of the transmit Gram (the clipped eigendecomposition
+root where that Gram is not positive definite), and neither a steering
+matrix nor the full-size channel is formed.
 
 All randomness flows through explicit ``numpy.random.Generator``
 instances so that Monte Carlo trials can own independent substreams.
@@ -255,6 +257,32 @@ def _steering_gram(geom: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
     return gram.reshape(angles.shape + (size,))
 
 
+def _transmit_factors(g_tx: np.ndarray) -> np.ndarray:
+    """Factors ``C`` with ``C C^H = G`` of a (B, L, L) stack of transmit Grams.
+
+    A draw gets its Gram's Cholesky factor, or, where that Gram is not
+    positive definite (colliding departures, more paths than elements),
+    the eigendecomposition root with eigenvalues clipped at 0.  A stacked
+    Cholesky is bit for bit each matrix's own, so the factor does not
+    depend on the stack.  No diagonal shift replaces the fallback: the
+    computed Gram of a small odd array with more paths than elements can
+    be indefinite by thousands of times L*eps.
+    """
+    try:
+        return np.linalg.cholesky(g_tx)
+    except np.linalg.LinAlgError:
+        return np.stack([_transmit_factor(gram) for gram in g_tx])
+
+
+def _transmit_factor(gram: np.ndarray) -> np.ndarray:
+    """One draw's factor, as chosen in ``_transmit_factors``."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(gram)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
 def singular_energy_profile(
     tx: ArrayGeometry,
     rx: ArrayGeometry,
@@ -274,13 +302,15 @@ def singular_energy_profile(
     fixed path count's ``integers`` call is skipped because it consumes
     no generator state.  With ``H ~ A_tx D A_rx^H``, ``D`` the diagonal
     of gains, the non-zero eigenvalues of ``H H^H`` are those
-    of the L x L matrix ``S (D G_rx D^H) S``, where ``G_tx`` and
-    ``G_rx`` are the closed-form steering Grams and ``S = G_tx^(1/2)``
-    (from ``eigh``, eigenvalues clipped at 0); the
+    of the L x L matrix ``C^H (D G_rx D^H) C``, where ``G_tx`` and
+    ``G_rx`` are the closed-form steering Grams and ``C C^H = G_tx``
+    (the Cholesky factor, or the clipped eigendecomposition root of a
+    Gram that is not positive definite: see ``_transmit_factors``); the
     ``n_tx*n_rx/path_loss`` scale cancels in the normalization.  Draws
     are processed ``_PROFILE_CHUNK`` at a time as stacks of L x L
-    matrices, and their normalized energies are added in draw order, so
-    the chunk size does not change a bit.  Only the largest
+    matrices, each draw's factor is chosen on its own Gram, and the
+    normalized energies are added in draw order, so the chunk size does
+    not change a bit.  Only the largest
     ``min(L, n_tx, n_rx)`` eigenvalues are kept: a channel of L paths has
     rank at most L, so every entry from index L on is exactly 0, not
     rounding noise, and the result does not depend on the BLAS thread
@@ -295,12 +325,10 @@ def singular_energy_profile(
     for start in range(0, trials, _PROFILE_CHUNK):
         gains, aods, aoas = _draw_paths(dist.k_factor_db, dist.l_max,
                                         min(_PROFILE_CHUNK, trials - start), rng)
-        g_tx = _steering_gram(tx, aods)
-        g_rx = _steering_gram(rx, aoas)
-        w, v = np.linalg.eigh(g_tx)
-        root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        core = gains[:, :, None] * g_rx * gains.conj()[:, None, :]
-        energy = np.clip(np.linalg.eigvalsh(root @ core @ root)[:, ::-1][:, :kept], 0.0, None)
+        factor = _transmit_factors(_steering_gram(tx, aods))
+        core = gains[:, :, None] * _steering_gram(rx, aoas) * gains.conj()[:, None, :]
+        spectrum = np.linalg.eigvalsh(factor.conj().transpose(0, 2, 1) @ core @ factor)
+        energy = np.clip(spectrum[:, ::-1][:, :kept], 0.0, None)
         shares = energy / energy.sum(axis=1, keepdims=True)
         # add.accumulate adds the draws one at a time, in draw order.
         profile[:kept] = np.add.accumulate(np.vstack((profile[:kept], shares)))[-1]

@@ -230,11 +230,30 @@ class TestSingularEnergyProfile:
                                     PathDistribution(4, 4), 20, 7)
         assert prof[3] <= 1e-12  # two shared ends leave rank 3
 
-    def test_matches_dense_svd_more_paths_than_elements(self):
-        prof = assert_matches_dense(ArrayGeometry(16), ArrayGeometry(4),
-                                    PathDistribution(6, 6), 30, 8)
-        assert prof.shape == (4,)
+    @pytest.mark.parametrize("n_tx, n_rx, n_paths", [
+        (16, 4, 6),  # every receive Gram is singular
+        (4, 16, 6),  # every transmit Gram is singular
+        # Odd tiny transmit arrays: the computed Gram can be indefinite
+        # by thousands of L*eps, far more than rounding.
+        (5, 16, 7),
+        (3, 8, 8),
+    ])
+    def test_matches_dense_svd_more_paths_than_elements(self, monkeypatch, n_tx, n_rx, n_paths):
+        fallback = []
+        factor = channel._transmit_factor
+
+        def recording(gram):
+            fallback.append(gram)
+            return factor(gram)
+
+        monkeypatch.setattr(channel, "_transmit_factor", recording)
+        trials = 30
+        prof = assert_matches_dense(ArrayGeometry(n_tx), ArrayGeometry(n_rx),
+                                    PathDistribution(n_paths, n_paths), trials, 8)
+        assert prof.shape == (min(n_tx, n_rx),)
         assert np.all(prof > 0)
+        # A singular transmit Gram sends the chunk's draws one at a time.
+        assert len(fallback) == (trials if n_paths > n_tx else 0)
 
     def test_matches_dense_svd_with_path_loss(self):
         assert_matches_dense(ArrayGeometry(64), ArrayGeometry(16),
@@ -270,10 +289,43 @@ class TestSingularEnergyProfile:
     def test_chunk_size_changes_no_bit(self, monkeypatch):
         tx, rx = ArrayGeometry(64), ArrayGeometry(16)
         dist = PathDistribution(4, 4)
-        default = singular_energy_profile(tx, rx, dist, 20, np.random.default_rng(11))
-        monkeypatch.setattr(channel, "_PROFILE_CHUNK", 7)
-        chunked = singular_energy_profile(tx, rx, dist, 20, np.random.default_rng(11))
-        assert np.array_equal(chunked, default)
+        draw = channel._draw_layout
+        collided = []
+
+        def sometimes_colliding(rng, angles, normals):
+            draw(rng, angles, normals)
+            collided.append(normals[0] > 0)  # the stream picks the draws
+            if collided[-1]:
+                angles[1] = angles[0]  # departures 0 and 1 share an angle
+
+        # With collisions on some draws only, a stack mixes Cholesky
+        # factors with eigendecomposition roots.
+        for layout in (draw, sometimes_colliding):
+            monkeypatch.setattr(channel, "_draw_layout", layout)
+            profiles = []
+            for chunk in (1024, 7, 1):
+                monkeypatch.setattr(channel, "_PROFILE_CHUNK", chunk)
+                rng = np.random.default_rng(11)
+                profiles.append(singular_energy_profile(tx, rx, dist, 40, rng))
+            for profile in profiles[1:]:
+                assert np.array_equal(profile, profiles[0])
+        assert 0 < sum(collided) < len(collided)
+
+    @pytest.mark.parametrize("n_paths", range(1, 7))
+    def test_cholesky_route_moves_results_by_rounding_only(self, n_paths):
+        tx, rx = ArrayGeometry(512), ArrayGeometry(32)
+        dist, trials, seed = PathDistribution(n_paths, n_paths), 200, 300 + n_paths
+        prof = singular_energy_profile(tx, rx, dist, trials, np.random.default_rng(seed))
+        gains, aods, aoas = channel._draw_paths(dist.k_factor_db, n_paths, trials,
+                                                np.random.default_rng(seed))
+        # The reference factors every transmit Gram by its eigendecomposition
+        # root, eigenvalues clipped at 0.
+        w, v = np.linalg.eigh(channel._steering_gram(tx, aods))
+        root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        core = gains[:, :, None] * channel._steering_gram(rx, aoas) * gains.conj()[:, None, :]
+        energy = np.clip(np.linalg.eigvalsh(root @ core @ root)[:, ::-1], 0.0, None)
+        reference = np.mean(energy / energy.sum(axis=1, keepdims=True), axis=0)
+        np.testing.assert_allclose(prof[:n_paths], reference, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("k_factor_db", [0.0, 10.0])
     @pytest.mark.parametrize("n_paths", range(1, 7))
