@@ -1,19 +1,22 @@
 """Three-phase compressive channel estimation.
 
 Every measurement is one ``ChannelOracle.observe`` call.  Phase 1
-sweeps coarse beam pairs from predefined codebooks and keeps the
-strongest transmit beams.  Phase 2 points the transmitter along each
-kept beam and samples the whole receive array, one observation per
-snapshot against the identity (it costs ``ceil(n / n_chains)`` training
-slots, since only a few baseband chains exist); a single-snapshot
-matrix-pencil line-spectral estimator turns each snapshot into arrival
-directions.  Phase 3 swaps roles to estimate departure directions the
-same way.  Each phase takes all of its snapshots first, in beam order,
-and then fits them as one stack: the phase's pencils run in lockstep,
-and each snapshot gets the fit it would get alone.  A final
-least-squares fit on the same observations recovers the coupling gains
-between every estimated departure/arrival pair, the dominant pairs
-become the path estimate, and the channel is rebuilt from them.
+sweeps coarse beam pairs from predefined DFT codebooks, one observation
+applied to the channel by FFT, and keeps the strongest transmit beams.
+Phase 2 points the transmitter along each kept beam and samples the
+whole receive array, one observation per snapshot against the identity
+(it costs ``ceil(n / n_chains)`` training slots, since only a few
+baseband chains exist); a single-snapshot matrix-pencil line-spectral
+estimator turns each snapshot into arrival directions.  Phase 3 swaps
+roles to estimate departure directions the same way.  Each phase takes
+all of its snapshots first, in beam order, and then fits them as one
+stack: the phase's pencils run in lockstep, and each snapshot gets the
+fit it would get alone.  A final least-squares fit on the same
+observations recovers the coupling gains between every estimated
+departure/arrival pair, the dominant pairs become the path estimate,
+and the channel is rebuilt from them.  That fit projects each
+whole-array snapshot onto the span of its estimated steering vectors
+first, so its cost follows the number of angles, not the array size.
 """
 
 from __future__ import annotations
@@ -150,7 +153,12 @@ class ChannelOracle:
     identity, every element of that array sampled: ``observe(beam,
     None)`` is the receive-array snapshot ``h^H @ beam`` as an (n_rx, 1)
     column, and ``observe(None, beam)`` the (1, n_tx) row ``beam^H @
-    h^H``, whose conjugate is the transmit-array snapshot.
+    h^H``, whose conjugate is the transmit-array snapshot.  A
+    ``Codebook`` at either end stands for its ``beams``.  One that
+    :func:`dft_codebook` built is applied by FFT (see
+    :func:`_codebook_product`), so the whole phase-1 sweep costs FFTs of
+    the channel's rows and columns, not a matrix product with every
+    beam; any other ``Codebook`` is multiplied like an explicit probe.
     """
 
     def __init__(self, h: np.ndarray, noise_var: float, rng: np.random.Generator):
@@ -160,9 +168,16 @@ class ChannelOracle:
         self.noise_var = float(noise_var)
         self._rng = rng
 
-    def observe(self, tx: np.ndarray | None, rx: np.ndarray | None) -> np.ndarray:
-        clean = self._h_herm if tx is None else self._h_herm @ _columns(tx)
-        if rx is not None:
+    def observe(self, tx: np.ndarray | Codebook | None,
+                rx: np.ndarray | Codebook | None) -> np.ndarray:
+        clean = self._h_herm
+        if _is_dft(tx):
+            clean = _codebook_product(clean, tx, receive=False)
+        elif tx is not None:
+            clean = clean @ _columns(tx)
+        if _is_dft(rx):
+            clean = _codebook_product(clean.T, rx, receive=True).T
+        elif rx is not None:
             clean = _columns(rx).conj().T @ clean
         if self.noise_var == 0:
             return clean
@@ -173,8 +188,49 @@ class ChannelOracle:
 
 def _columns(probe) -> np.ndarray:
     # A probe as a complex matrix of column beams; one beam is one column.
+    if isinstance(probe, Codebook):
+        probe = probe.beams
     probe = np.asarray(probe, dtype=complex)
     return probe[:, None] if probe.ndim == 1 else probe
+
+
+def _is_dft(probe) -> bool:
+    # Only dft_codebook's own cached beams are applied by FFT; any other
+    # Codebook is its beam matrix, multiplied like any explicit probe.
+    if not isinstance(probe, Codebook):
+        return False
+    n, size = probe.beams.shape
+    return probe.beams is _codebook_arrays(ArrayGeometry(n), size)[0]
+
+
+def _codebook_product(x: np.ndarray, codebook: Codebook, receive: bool) -> np.ndarray:
+    """``x @ codebook.beams`` by FFT, or ``x @ conj(codebook.beams)`` with ``receive``.
+
+    ``x`` has shape (r, n) for a codebook of ``size`` beams on n
+    elements.  Beam m's element k is ``ramp[k] * exp(2j*pi*k*m/size) /
+    sqrt(n)`` with ``ramp[k] = exp(1j*pi*k*(1/size - 1))`` (see
+    :func:`dft_codebook`), so ``x @ beams`` is the unnormalized inverse
+    DFT over ``size`` points of the ramped rows, once each row is folded
+    modulo ``size``: zero-padded to a multiple of ``size`` and its
+    length-``size`` segments summed.  The conjugate beams take the
+    forward DFT of the rows times the conjugate ramp.
+    """
+    n, size = codebook.beams.shape
+    ramp = _ramp(n, size)
+    folded = np.zeros((x.shape[0], -(-n // size) * size), dtype=complex)
+    np.multiply(x, ramp.conj() if receive else ramp, out=folded[:, :n])
+    folded = folded.reshape(x.shape[0], -1, size).sum(axis=1)
+    return np.fft.fft(folded) if receive else np.fft.ifft(folded, norm="forward")
+
+
+@functools.lru_cache(maxsize=4)
+def _ramp(n: int, size: int) -> np.ndarray:
+    # ramp[k] / sqrt(n) for the beams of a size-`size` codebook on n elements;
+    # the phase pi*k*(1 - size)/size is reduced modulo 2*pi in integers first.
+    k = np.arange(n)
+    ramp = np.exp(1j * np.pi * ((k * (1 - size)) % (2 * size)) / size) / np.sqrt(n)
+    ramp.flags.writeable = False
+    return ramp
 
 
 def _slots(n: int, n_chains: int) -> int:
@@ -187,7 +243,9 @@ def dft_codebook(geom: ArrayGeometry, size: int) -> Codebook:
 
     Beam m points at ``asin(-1 + (2m+1)/size)``, the midpoints of a
     uniform sin-space grid; every column is a unit-norm steering vector.
-    At critical sampling (size == n_elements) the columns are mutually
+    Its element k is thus a fixed ramp times ``exp(2j*pi*k*m/size)``,
+    which lets ``ChannelOracle.observe`` apply the codebook by FFT.  At
+    critical sampling (size == n_elements) the columns are mutually
     orthogonal.  The arrays are built once per (geometry, size) and
     shared read-only between calls.
     """
@@ -213,7 +271,7 @@ def _strongest_tx_beams(oracle: ChannelOracle, tx_cb: Codebook, rx_cb: Codebook,
     # transmit beams with the strongest best-over-combiners power, ties by
     # index.  Distinct beams (rather than raw pairs) keep weaker paths with
     # different departure directions in the probing budget.
-    best = (np.abs(oracle.observe(tx_cb.beams, rx_cb.beams)) ** 2).max(axis=0)
+    best = (np.abs(oracle.observe(tx_cb, rx_cb)) ** 2).max(axis=0)
     return [int(i) for i in np.argsort(-best, kind="stable")[:keep]]
 
 
@@ -591,10 +649,22 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
     all scalar observations, with near-null directions of the design
     matrix truncated.  Returns ``(D, relative_residual)``.
 
+    One rule applies to every block: a side whose probe samples more
+    elements than there are angles at that array (``None``, or an
+    explicit matrix with more columns) is projected onto the span of its
+    projected steering factor first (see :func:`_compress`), and the
+    energy outside that span is added to the residual.  The full design
+    equals a block-diagonal matrix with orthonormal columns times the
+    compressed one, so both have the same Gram and singular values and,
+    in exact arithmetic, the same truncated solution and residual; a
+    fig5 fit solves at most ``keep*n_aoa + n_aoa*n_aod`` rows instead of
+    one per scalar observation.
+
     Raises
     ------
     InsufficientMeasurementsError
-        If there are fewer scalar observations than unknowns.
+        If there are fewer scalar observations than unknowns (counted
+        before any compression).
     """
     aods = np.atleast_1d(np.asarray(aods, dtype=float))
     aoas = np.atleast_1d(np.asarray(aoas, dtype=float))
@@ -606,21 +676,30 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
     # Observation model: values[p, q] = scale * u_p^H X v_q with
     # u = A_rx^H rx, v = A_tx^H tx and X the conjugate transpose of the
     # coupling matrix; each scalar observation is one linear equation in
-    # the entries of X.  The blocks are written straight into one
-    # preallocated design, so it exists once before lstsq copies it.
+    # the entries of X.  A side that samples more elements than there are
+    # angles is first compressed onto its steering span (_compress); every
+    # probe of None has the factor A^H, whose QR is taken once per side.
+    # The blocks are written straight into one preallocated design, so it
+    # exists once before lstsq copies it.
+    tx_qr, rx_qr = (np.linalg.qr(a) if a.shape[0] > a.shape[1] else None for a in (a_tx, a_rx))
     projected = []
+    n_obs, outside = 0, 0.0
     for tx, rx, values in measurements:
         v = _project(a_tx, tx)          # (n_aod, a)
         u = _project(a_rx, rx)          # (n_aoa, b)
         values = np.asarray(values, dtype=complex).reshape(u.shape[1], v.shape[1])
-        projected.append((u, v, values))
-    n_obs = sum(values.size for _, _, values in projected)
+        n_obs += values.size
+        u, values, lost_rx = _compress(u, values, rx_qr if rx is None else None)
+        v, values_h, lost_tx = _compress(v, values.conj().T, tx_qr if tx is None else None)
+        outside += lost_rx + lost_tx
+        projected.append((u, v, values_h.conj().T))
     if n_obs < n_aod * n_aoa:
         raise InsufficientMeasurementsError(
             f"{n_obs} observations cannot determine {n_aod * n_aoa} coupling entries"
         )
-    design = np.empty((n_obs, n_aoa * n_aod), dtype=complex)
-    rhs = np.empty(n_obs, dtype=complex)
+    n_rows = sum(values.size for _, _, values in projected)
+    design = np.empty((n_rows, n_aoa * n_aod), dtype=complex)
+    rhs = np.empty(n_rows, dtype=complex)
     start = 0
     for u, v, values in projected:
         rows = slice(start, start + values.size)
@@ -630,8 +709,12 @@ def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: Ar
         rhs[rows] = values.ravel()
         start += values.size
     solution, *_ = np.linalg.lstsq(design, rhs, rcond=_GAIN_FIT_RCOND)
-    rhs_norm = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(design @ solution - rhs) / rhs_norm) if rhs_norm > 0 else 0.0
+    # The energy outside the steering spans adds to both norms; hypot with
+    # a zero leaves an uncompressed fit's norms as they are.
+    outside = np.sqrt(outside)
+    rhs_norm = np.hypot(np.linalg.norm(rhs), outside)
+    misfit = np.hypot(np.linalg.norm(design @ solution - rhs), outside)
+    residual = float(misfit / rhs_norm) if rhs_norm > 0 else 0.0
     coupling = solution.reshape(n_aoa, n_aod).conj().T
     return coupling, residual
 
@@ -641,6 +724,27 @@ def _project(steering: np.ndarray, probe) -> np.ndarray:
     if probe is None:
         return steering.conj().T
     return steering.conj().T @ _columns(probe)
+
+
+def _compress(factor: np.ndarray, values: np.ndarray, qr=None):
+    """One side of a gain-fit block, on its steering span.
+
+    ``factor`` (k, m) is a side's projected steering factor and
+    ``values`` (m, c) the block with that side's m samples as rows, so
+    that the model is ``values = factor^H @ Y`` for some Y.  When m > k
+    the thin QR ``factor^H = Q R`` gives ``Q^H values = R Y``: the k
+    rows ``Q^H values`` keep the block's whole dependence on Y, and the
+    factor becomes ``R^H``.  Returns ``(factor, values, outside)``, with
+    ``outside`` the squared norm of the part of ``values`` outside Q's
+    span (0.0 when m <= k and nothing changes).  ``qr``, when given, is
+    that QR, taken once for a factor that several blocks share.
+    """
+    if factor.shape[1] <= factor.shape[0]:
+        return factor, values, 0.0
+    q, r = np.linalg.qr(factor.conj().T) if qr is None else qr
+    inside = q.conj().T @ values
+    rest = values - q @ inside
+    return r.conj().T, inside, float(np.vdot(rest, rest).real)
 
 
 def _merge_frequencies(detections, tol: float, cap: int, floor: float) -> np.ndarray:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mmwave_backhaul import (
     ArrayGeometry,
     ChannelOracle,
+    Codebook,
     EstimationConfig,
     EstimationFailedError,
     InsufficientMeasurementsError,
@@ -20,10 +23,24 @@ from mmwave_backhaul import (
     steering_matrix,
     steering_vector,
 )
-from mmwave_backhaul import estimation
+from mmwave_backhaul import config, estimation, simulation
 
 MACRO = ArrayGeometry(512)
 SMALL = ArrayGeometry(32)
+
+
+def fig5_draws(count, seed):
+    # Noisy fig5 estimation inputs: (h, fresh oracle, estimation config) per
+    # draw, alternating the preset's Rician factors.
+    scenarios = [c for c in config.preset_scenarios("fig5") if c.allocation == "waterfilling"]
+    tx, rx = scenarios[0].macro_geometry(), scenarios[0].small_geometry()
+    for i in range(count):
+        cfg = scenarios[i % len(scenarios)]
+        paths = sample_paths(cfg.path_distribution(), simulation.derive_rng(seed, i, 0))
+        h = assemble_channel(tx, rx, paths)
+        oracle = ChannelOracle(h, simulation.observation_noise_var(cfg),
+                               simulation.derive_rng(seed, i, 1))
+        yield h, oracle, dataclasses.replace(cfg.estimation, path_loss=cfg.path_loss)
 
 
 def separated_angles(rng, count, min_sin_gap):
@@ -123,6 +140,73 @@ class TestCoarseSweep:
         assert len(probed) == len(beams) == cfg.keep
         for beam, index in zip(probed, beams):
             assert np.array_equal(beam, tx_cb.beams[:, index])
+
+
+class TestCodebookSweep:
+    @pytest.mark.parametrize("n, size", [(512, 512), (512, 128), (64, 48), (8, 6), (4, 8)])
+    def test_matches_dense_beams(self, n, size):
+        # A Codebook at either end is applied by FFT, folded where the size
+        # does not divide the array, and matches the product with its beams
+        # up to rounding (the beams themselves go through arcsin and sin).
+        geom = ArrayGeometry(n)
+        cb = dft_codebook(geom, size)
+        rng = np.random.default_rng(n + size)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        oracle = ChannelOracle(h, 0.0, rng)
+        h_herm = h.conj().T
+        for tx, rx, dense in ((cb, cb, cb.beams.conj().T @ h_herm @ cb.beams),
+                              (cb, None, h_herm @ cb.beams),
+                              (None, cb, cb.beams.conj().T @ h_herm)):
+            got = oracle.observe(tx, rx)
+            assert got.shape == dense.shape
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-11 * np.max(np.abs(dense)))
+
+    def test_kept_beams_match_dense_ranking(self):
+        # On noisy fig5 draws, the FFT sweep keeps the beams, in order, that
+        # the same noise added to the dense product keeps.
+        for h, oracle, cfg in fig5_draws(50, 2701):
+            tx_cb = dft_codebook(MACRO, cfg.l_ma)
+            rx_cb = dft_codebook(SMALL, cfg.l_sm)
+            state = oracle._rng.bit_generator.state
+            kept = estimation._strongest_tx_beams(oracle, tx_cb, rx_cb, cfg.keep)
+            oracle._rng.bit_generator.state = state
+            dense = (np.abs(oracle.observe(tx_cb.beams, rx_cb.beams)) ** 2).max(axis=0)
+            assert kept == list(np.argsort(-dense, kind="stable")[:cfg.keep])
+
+    def test_draws_the_noise_of_its_result(self):
+        # The sweep's noise is one real and one imaginary block over its
+        # (l_sm, l_ma) result: 2 * l_sm * l_ma normals, no more.
+        tx_cb, rx_cb = dft_codebook(ArrayGeometry(64), 48), dft_codebook(ArrayGeometry(8), 6)
+        h = assemble_channel(ArrayGeometry(64), ArrayGeometry(8),
+                             separated_paths(21, 2, ArrayGeometry(64), ArrayGeometry(8)))
+        swept, drawn = np.random.default_rng(22), np.random.default_rng(22)
+        values = ChannelOracle(h, 0.1, swept).observe(tx_cb, rx_cb)
+        assert values.shape == (6, 48)
+        drawn.standard_normal(2 * 6 * 48)
+        assert swept.bit_generator.state == drawn.bit_generator.state
+
+
+    def test_other_codebooks_are_applied_by_their_beams(self):
+        # Only dft_codebook's own beams go through the FFT: a Codebook built
+        # from any other matrix, even a copy of the DFT beams, is multiplied
+        # as its beams, in observe and in coarse_sweep.
+        rng = np.random.default_rng(23)
+        tx_geom, rx_geom = ArrayGeometry(16), ArrayGeometry(4)
+        h = assemble_channel(tx_geom, rx_geom, sample_paths(PathDistribution(3, 3), rng))
+        angles = rng.uniform(0, 2 * np.pi, 5)
+        tx_cb = Codebook(beams=steering_matrix(tx_geom, angles), angles=angles)
+        rx_dft = dft_codebook(rx_geom, 4)
+        rx_copy = Codebook(beams=rx_dft.beams.copy(), angles=rx_dft.angles)
+        oracle = ChannelOracle(h, 0.0, rng)
+        assert np.array_equal(oracle.observe(tx_cb, None), oracle.observe(tx_cb.beams, None))
+        assert np.array_equal(oracle.observe(None, rx_copy), oracle.observe(None, rx_copy.beams))
+        dense = rx_dft.beams.conj().T @ h.conj().T @ tx_cb.beams
+        for rx_cb in (rx_dft, rx_copy):
+            np.testing.assert_allclose(oracle.observe(tx_cb, rx_cb), dense,
+                                       rtol=0, atol=1e-12 * np.max(np.abs(dense)))
+        best = (np.abs(dense) ** 2).max(axis=0)
+        kept = coarse_sweep(h, tx_cb, rx_copy, 0.0, 5, np.random.default_rng(24))
+        assert kept == list(np.argsort(-best, kind="stable"))
 
 
 class TestArraySnapshot:
@@ -574,6 +658,69 @@ class TestEstimateGains:
         measurements = [(beam, steering_vector(rx, 1.0), np.zeros((1, 1), complex))]
         with pytest.raises(InsufficientMeasurementsError):
             estimate_gains(measurements, [0.5, 0.6], [1.0, 1.1], tx, rx)
+
+    def test_counts_observations_before_compression(self):
+        # One receive-array snapshot is 8 scalar observations, though it
+        # compresses to one row per arrival angle.
+        tx, rx = ArrayGeometry(16), ArrayGeometry(8)
+        beam = steering_vector(tx, 0.5)
+        snapshot = [(beam, None, np.ones((8, 1), complex))]
+        with pytest.raises(InsufficientMeasurementsError):
+            estimate_gains(snapshot, np.linspace(0.1, 0.9, 5), [1.0, 1.1], tx, rx)
+        coupling, _ = estimate_gains(snapshot, np.linspace(0.1, 0.9, 4), [1.0, 1.1], tx, rx)
+        assert coupling.shape == (4, 2)
+
+    @staticmethod
+    def full_design_gains(measurements, aods, aoas, tx_geom, rx_geom, path_loss):
+        # The fit on every scalar observation, one design row each, as
+        # estimate_gains took it before it compressed probes onto the
+        # steering span.
+        a_tx, a_rx = steering_matrix(tx_geom, aods), steering_matrix(rx_geom, aoas)
+        scale = np.sqrt(tx_geom.n_elements * rx_geom.n_elements / path_loss)
+        rows, rhs = [], []
+        for tx, rx, values in measurements:
+            v, u = a_tx.conj().T, a_rx.conj().T
+            if tx is not None:
+                v = v @ np.asarray(tx).reshape(tx_geom.n_elements, -1)
+            if rx is not None:
+                u = u @ np.asarray(rx).reshape(rx_geom.n_elements, -1)
+            block = np.einsum("ip,jq->pqij", u.conj(), v) * scale
+            rows.append(block.reshape(-1, aoas.size * aods.size))
+            rhs.append(np.asarray(values).ravel())
+        design, rhs = np.vstack(rows), np.concatenate(rhs)
+        solution, *_ = np.linalg.lstsq(design, rhs, rcond=estimation._GAIN_FIT_RCOND)
+        rhs_norm = np.linalg.norm(rhs)
+        residual = np.linalg.norm(design @ solution - rhs) / rhs_norm if rhs_norm > 0 else 0.0
+        return solution.reshape(aoas.size, aods.size).conj().T, residual
+
+    def test_projected_fit_matches_full_design(self, monkeypatch):
+        # On the pipeline's own fig5 measurements, on a mix of identity
+        # probes given as None and as explicit matrices plus a wide explicit
+        # probe at both ends, and on zero observations, the compressed
+        # design gives the full design's fit up to rounding.
+        fits = []
+        monkeypatch.setattr(estimation, "estimate_gains",
+                            lambda *args: fits.append(args) or estimate_gains(*args))
+        for h, oracle, cfg in fig5_draws(20, 2702):
+            estimation.estimate_channel(oracle, MACRO, SMALL, cfg)
+            measurements, aods, aoas, *_ = fits[-1]
+            mixed = [(tx, np.eye(32) if rx is None and k % 2 else rx, values)
+                     if tx is not None else (np.eye(512) if k % 2 else None, rx, values)
+                     for k, (tx, rx, values) in enumerate(measurements)]
+            rng = np.random.default_rng(len(fits))
+            wide_tx = rng.standard_normal((512, aods.size + 2)) + 0j
+            wide_rx = rng.standard_normal((32, aoas.size + 3)) + 0j
+            mixed.append((wide_tx, wide_rx, oracle.observe(wide_tx, wide_rx)))
+            zero = [(tx, rx, np.zeros_like(values)) for tx, rx, values in mixed]
+            for case in (measurements, mixed, zero):
+                coupling, residual = estimate_gains(case, aods, aoas, MACRO, SMALL, cfg.path_loss)
+                ref_coupling, ref_residual = self.full_design_gains(
+                    case, aods, aoas, MACRO, SMALL, cfg.path_loss)
+                assert coupling.shape == ref_coupling.shape
+                np.testing.assert_allclose(coupling, ref_coupling, rtol=0,
+                                           atol=1e-10 * np.max(np.abs(ref_coupling)))
+                assert abs(residual - ref_residual) <= 1e-10 * ref_residual
+        assert len(fits) == 20
 
 
 class TestEstimateChannel:
