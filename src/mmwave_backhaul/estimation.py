@@ -1,22 +1,23 @@
 """Three-phase compressive channel estimation.
 
 Every measurement is one ``ChannelOracle.observe`` call.  Phase 1
-sweeps coarse beam pairs from predefined DFT codebooks, one observation
-applied to the channel by FFT, and keeps the strongest transmit beams.
-Phase 2 points the transmitter along each kept beam and samples the
-whole receive array, one observation per snapshot against the identity
-(it costs ``ceil(n / n_chains)`` training slots, since only a few
-baseband chains exist); a single-snapshot matrix-pencil line-spectral
-estimator turns each snapshot into arrival directions.  Phase 3 swaps
-roles to estimate departure directions the same way.  Each phase takes
-all of its snapshots first, in beam order, and then fits them as one
-stack: the phase's pencils run in lockstep, and each snapshot gets the
-fit it would get alone.  A final least-squares fit on the same
-observations recovers the coupling gains between every estimated
-departure/arrival pair, the dominant pairs become the path estimate,
-and the channel is rebuilt from them.  That fit projects each
-whole-array snapshot onto the span of its estimated steering vectors
-first, so its cost follows the number of angles, not the array size.
+sweeps coarse beam pairs from two DFT codebooks, one observation
+applied to the channel by FFT (a ``Codebook`` is the DFT codebook of its
+shape by type), and keeps the strongest transmit beams.  Phase 2 points
+the transmitter along each kept beam and samples the whole receive
+array, one observation per snapshot against the identity (it costs
+``ceil(n / n_chains)`` training slots, since only a few baseband chains
+exist); a single-snapshot matrix-pencil line-spectral estimator turns
+each snapshot into arrival directions.  Phase 3 swaps roles to estimate
+departure directions the same way.  Each phase takes all of its
+snapshots first, in beam order, and then fits them as one stack: the
+phase's pencils run in lockstep, and each snapshot gets the fit it
+would get alone.  A final least-squares fit on the two phases' stacks
+recovers the coupling gains between every estimated departure/arrival
+pair, the dominant pairs become the path estimate, and the channel is
+rebuilt from them.  That fit projects each stack onto the span of the
+estimated steering vectors at its array first, so its cost follows the
+number of angles, not the array size.
 """
 
 from __future__ import annotations
@@ -53,12 +54,30 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Codebook:
-    """Beamforming codebook: unit-norm steering columns and their angles."""
+    """The DFT codebook of ``size`` beams on an ``n_elements`` array.
 
-    beams: np.ndarray   # (n_elements, size)
-    angles: np.ndarray  # (size,) in [0, 2*pi)
+    ``beams`` (n_elements, size) are unit-norm steering columns and
+    ``angles`` (size,) their pointing directions in [0, 2*pi) (see
+    :func:`dft_codebook`); both are built once per shape and shared
+    read-only.
+    """
+
+    n_elements: int
+    size: int
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError("size must be >= 1")
+
+    @property
+    def beams(self) -> np.ndarray:
+        return _codebook_arrays(self.n_elements, self.size)[0]
+
+    @property
+    def angles(self) -> np.ndarray:
+        return _codebook_arrays(self.n_elements, self.size)[1]
 
 
 @dataclass
@@ -154,16 +173,15 @@ class ChannelOracle:
     None)`` is the receive-array snapshot ``h^H @ beam`` as an (n_rx, 1)
     column, and ``observe(None, beam)`` the (1, n_tx) row ``beam^H @
     h^H``, whose conjugate is the transmit-array snapshot.  A
-    ``Codebook`` at either end stands for its ``beams``.  One that
-    :func:`dft_codebook` built is applied by FFT (see
-    :func:`_codebook_product`), so the whole phase-1 sweep costs FFTs of
-    the channel's rows and columns, not a matrix product with every
-    beam; any other ``Codebook`` is multiplied like an explicit probe.
+    ``Codebook`` at either end is the DFT codebook of its shape, applied
+    by FFT (see :func:`_codebook_product`), so the whole phase-1 sweep
+    costs FFTs of the channel's rows and columns, not a matrix product
+    with every beam; an explicit array of beams is multiplied.
     """
 
     def __init__(self, h: np.ndarray, noise_var: float, rng: np.random.Generator):
-        if noise_var < 0:
-            raise ValueError("noise_var must be non-negative")
+        if not 0.0 <= noise_var < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"noise_var must be a finite, non-negative number, got {noise_var!r}")
         self._h_herm = np.asarray(h, dtype=complex).conj().T
         self.noise_var = float(noise_var)
         self._rng = rng
@@ -171,11 +189,11 @@ class ChannelOracle:
     def observe(self, tx: np.ndarray | Codebook | None,
                 rx: np.ndarray | Codebook | None) -> np.ndarray:
         clean = self._h_herm
-        if _is_dft(tx):
+        if isinstance(tx, Codebook):
             clean = _codebook_product(clean, tx, receive=False)
         elif tx is not None:
             clean = clean @ _columns(tx)
-        if _is_dft(rx):
+        if isinstance(rx, Codebook):
             clean = _codebook_product(clean.T, rx, receive=True).T
         elif rx is not None:
             clean = _columns(rx).conj().T @ clean
@@ -186,21 +204,10 @@ class ChannelOracle:
         return clean + scale * noise
 
 
-def _columns(probe) -> np.ndarray:
+def _columns(probe: np.ndarray) -> np.ndarray:
     # A probe as a complex matrix of column beams; one beam is one column.
-    if isinstance(probe, Codebook):
-        probe = probe.beams
     probe = np.asarray(probe, dtype=complex)
     return probe[:, None] if probe.ndim == 1 else probe
-
-
-def _is_dft(probe) -> bool:
-    # Only dft_codebook's own cached beams are applied by FFT; any other
-    # Codebook is its beam matrix, multiplied like any explicit probe.
-    if not isinstance(probe, Codebook):
-        return False
-    n, size = probe.beams.shape
-    return probe.beams is _codebook_arrays(ArrayGeometry(n), size)[0]
 
 
 def _codebook_product(x: np.ndarray, codebook: Codebook, receive: bool) -> np.ndarray:
@@ -215,7 +222,7 @@ def _codebook_product(x: np.ndarray, codebook: Codebook, receive: bool) -> np.nd
     length-``size`` segments summed.  The conjugate beams take the
     forward DFT of the rows times the conjugate ramp.
     """
-    n, size = codebook.beams.shape
+    n, size = codebook.n_elements, codebook.size
     ramp = _ramp(n, size)
     folded = np.zeros((x.shape[0], -(-n // size) * size), dtype=complex)
     np.multiply(x, ramp.conj() if receive else ramp, out=folded[:, :n])
@@ -244,22 +251,19 @@ def dft_codebook(geom: ArrayGeometry, size: int) -> Codebook:
     Beam m points at ``asin(-1 + (2m+1)/size)``, the midpoints of a
     uniform sin-space grid; every column is a unit-norm steering vector.
     Its element k is thus a fixed ramp times ``exp(2j*pi*k*m/size)``,
-    which lets ``ChannelOracle.observe`` apply the codebook by FFT.  At
-    critical sampling (size == n_elements) the columns are mutually
-    orthogonal.  The arrays are built once per (geometry, size) and
-    shared read-only between calls.
+    which lets ``ChannelOracle.observe`` apply any ``Codebook`` by FFT.
+    At critical sampling (size == n_elements) the columns are mutually
+    orthogonal.  A ``Codebook`` is only its shape; its arrays are built
+    once per shape and shared read-only between calls.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    beams, angles = _codebook_arrays(geom, size)
-    return Codebook(beams=beams, angles=angles)
+    return Codebook(geom.n_elements, size)
 
 
 @functools.lru_cache(maxsize=4)
-def _codebook_arrays(geom: ArrayGeometry, size: int):
+def _codebook_arrays(n: int, size: int):
     sines = -1.0 + (2.0 * np.arange(size) + 1.0) / size
     angles = np.mod(np.arcsin(sines), 2.0 * np.pi)
-    beams = steering_matrix(geom, angles)
+    beams = steering_matrix(ArrayGeometry(n), angles)
     beams.flags.writeable = False
     angles.flags.writeable = False
     return beams, angles
@@ -635,116 +639,81 @@ def _fit_amplitudes(x: np.ndarray, roots: np.ndarray, steps: int) -> LineSpectru
 _GAIN_FIT_RCOND = 1e-3
 
 
-def estimate_gains(measurements, aods, aoas, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry,
-                   path_loss: float = 1.0):
+def estimate_gains(receive, transmit, aods, aoas, tx_geom: ArrayGeometry,
+                   rx_geom: ArrayGeometry, path_loss: float = 1.0):
     """Least-squares coupling matrix between departure and arrival angles.
 
-    Each measurement is a ``(tx, rx, values)`` triple with tx of shape
-    (n_tx, a), rx of shape (n_rx, b) and values of shape (b, a) equal to
-    ``rx^H h^H tx`` plus noise.  A ``tx`` or ``rx`` of ``None`` stands
-    for the identity, every element of that array sampled, without
-    building it.  The fit finds the coupling matrix D
-    (len(aods), len(aoas)) minimizing the residual of the model channel
-    ``sqrt(n_tx*n_rx/path_loss) * A_tx(aods) @ D @ A_rx(aoas)^H`` against
-    all scalar observations, with near-null directions of the design
-    matrix truncated.  Returns ``(D, relative_residual)``.
+    ``receive`` is phase 2's ``(tx_probes, snapshots)``: the (n_tx, B)
+    transmitted beams as columns and the (B, n_rx) receive-array
+    snapshots, row b equal to ``h^H @ tx_probes[:, b]`` plus noise.
+    ``transmit`` is phase 3's ``(rx_probes, snapshots)``: the (n_rx, C)
+    combining beams and the (C, n_tx) rows ``rx_probes[:, c]^H @ h^H``
+    plus noise, the conjugates of the transmit-array snapshots.  The fit
+    finds the coupling matrix D (len(aods), len(aoas)) minimizing the
+    residual of the model channel ``sqrt(n_tx*n_rx/path_loss) *
+    A_tx(aods) @ D @ A_rx(aoas)^H`` against every scalar observation,
+    with near-null directions of the design matrix truncated.  Returns
+    ``(D, relative_residual)``.
 
-    One rule applies to every block: a side whose probe samples more
-    elements than there are angles at that array (``None``, or an
-    explicit matrix with more columns) is projected onto the span of its
-    projected steering factor first (see :func:`_compress`), and the
-    energy outside that span is added to the residual.  The full design
-    equals a block-diagonal matrix with orthonormal columns times the
-    compressed one, so both have the same Gram and singular values and,
-    in exact arithmetic, the same truncated solution and residual; a
-    fig5 fit solves at most ``keep*n_aoa + n_aoa*n_aod`` rows instead of
-    one per scalar observation.
+    Each stack is first projected onto the span of the steering vectors
+    at its array, by one thin QR ``A = Q R`` per array, and the energy
+    outside that span is added to the residual.  The full design equals
+    a block-diagonal matrix with orthonormal columns times the projected
+    one, so both have the same Gram and singular values and, in exact
+    arithmetic, the same truncated solution and residual; a snapshot
+    gives ``min(n, angles)`` rows at its array instead of one per scalar
+    observation.
 
     Raises
     ------
     InsufficientMeasurementsError
         If there are fewer scalar observations than unknowns (counted
-        before any compression).
+        before the projection).
     """
     aods = np.atleast_1d(np.asarray(aods, dtype=float))
     aoas = np.atleast_1d(np.asarray(aoas, dtype=float))
     n_aod, n_aoa = aods.size, aoas.size
-    a_tx = steering_matrix(tx_geom, aods)
-    a_rx = steering_matrix(rx_geom, aoas)
-    scale = _channel_scale(tx_geom.n_elements, rx_geom.n_elements, path_loss)
-
-    # Observation model: values[p, q] = scale * u_p^H X v_q with
-    # u = A_rx^H rx, v = A_tx^H tx and X the conjugate transpose of the
-    # coupling matrix; each scalar observation is one linear equation in
-    # the entries of X.  A side that samples more elements than there are
-    # angles is first compressed onto its steering span (_compress); every
-    # probe of None has the factor A^H, whose QR is taken once per side.
-    # The blocks are written straight into one preallocated design, so it
-    # exists once before lstsq copies it.
-    tx_qr, rx_qr = (np.linalg.qr(a) if a.shape[0] > a.shape[1] else None for a in (a_tx, a_rx))
-    projected = []
-    n_obs, outside = 0, 0.0
-    for tx, rx, values in measurements:
-        v = _project(a_tx, tx)          # (n_aod, a)
-        u = _project(a_rx, rx)          # (n_aoa, b)
-        values = np.asarray(values, dtype=complex).reshape(u.shape[1], v.shape[1])
-        n_obs += values.size
-        u, values, lost_rx = _compress(u, values, rx_qr if rx is None else None)
-        v, values_h, lost_tx = _compress(v, values.conj().T, tx_qr if tx is None else None)
-        outside += lost_rx + lost_tx
-        projected.append((u, v, values_h.conj().T))
+    tx_probes, rx_snapshots = (np.asarray(a, dtype=complex) for a in receive)
+    rx_probes, tx_snapshots = (np.asarray(a, dtype=complex) for a in transmit)
+    n_obs = rx_snapshots.size + tx_snapshots.size
     if n_obs < n_aod * n_aoa:
         raise InsufficientMeasurementsError(
             f"{n_obs} observations cannot determine {n_aod * n_aoa} coupling entries"
         )
-    n_rows = sum(values.size for _, _, values in projected)
-    design = np.empty((n_rows, n_aoa * n_aod), dtype=complex)
-    rhs = np.empty(n_rows, dtype=complex)
-    start = 0
-    for u, v, values in projected:
-        rows = slice(start, start + values.size)
-        np.einsum("ip,jq->pqij", u.conj(), v,
-                  out=design[rows].reshape(*values.shape, n_aoa, n_aod))
-        design[rows] *= scale
-        rhs[rows] = values.ravel()
-        start += values.size
+    a_tx = steering_matrix(tx_geom, aods)
+    a_rx = steering_matrix(rx_geom, aoas)
+    scale = _channel_scale(tx_geom.n_elements, rx_geom.n_elements, path_loss)
+
+    # Observation model, with X = D^H (n_aoa, n_aod) the unknown: snapshot
+    # b is scale * A_rx X A_tx^H p_b and row c is scale * p_c^H A_rx X A_tx^H.
+    # With A_rx = Q_rx R_rx and A_tx = Q_tx R_tx, Q_rx^H keeps a snapshot's
+    # whole dependence on X, R_rx X (A_tx^H p_b), and Q_tx a row's,
+    # (p_c^H A_rx) X R_tx^H.  The two blocks are Kronecker products of
+    # those factors, written into one preallocated design, row (b, p) and
+    # row (c, q) against column (i, j).
+    q_rx, r_rx = np.linalg.qr(a_rx)
+    q_tx, r_tx = np.linalg.qr(a_tx)
+    inside_rx = rx_snapshots @ q_rx.conj()
+    inside_tx = tx_snapshots @ q_tx
+    outside = np.hypot(np.linalg.norm(rx_snapshots - inside_rx @ q_rx.T),
+                       np.linalg.norm(tx_snapshots - inside_tx @ q_tx.conj().T))
+    v = a_tx.conj().T @ tx_probes  # (n_aod, B)
+    u = a_rx.conj().T @ rx_probes  # (n_aoa, C)
+    split = inside_rx.size
+    design = np.empty((split + inside_tx.size, n_aoa * n_aod), dtype=complex)
+    np.einsum("pi,jb->bpij", r_rx, v,
+              out=design[:split].reshape(*inside_rx.shape, n_aoa, n_aod))
+    np.einsum("ic,qj->cqij", u.conj(), r_tx.conj(),
+              out=design[split:].reshape(*inside_tx.shape, n_aoa, n_aod))
+    design *= scale
+    rhs = np.concatenate((inside_rx.ravel(), inside_tx.ravel()))
     solution, *_ = np.linalg.lstsq(design, rhs, rcond=_GAIN_FIT_RCOND)
-    # The energy outside the steering spans adds to both norms; hypot with
-    # a zero leaves an uncompressed fit's norms as they are.
-    outside = np.sqrt(outside)
+    # The energy outside the steering spans adds to both norms.
     rhs_norm = np.hypot(np.linalg.norm(rhs), outside)
     misfit = np.hypot(np.linalg.norm(design @ solution - rhs), outside)
     residual = float(misfit / rhs_norm) if rhs_norm > 0 else 0.0
     coupling = solution.reshape(n_aoa, n_aod).conj().T
     return coupling, residual
-
-
-def _project(steering: np.ndarray, probe) -> np.ndarray:
-    # steering^H @ probe, with probe None standing for the identity.
-    if probe is None:
-        return steering.conj().T
-    return steering.conj().T @ _columns(probe)
-
-
-def _compress(factor: np.ndarray, values: np.ndarray, qr=None):
-    """One side of a gain-fit block, on its steering span.
-
-    ``factor`` (k, m) is a side's projected steering factor and
-    ``values`` (m, c) the block with that side's m samples as rows, so
-    that the model is ``values = factor^H @ Y`` for some Y.  When m > k
-    the thin QR ``factor^H = Q R`` gives ``Q^H values = R Y``: the k
-    rows ``Q^H values`` keep the block's whole dependence on Y, and the
-    factor becomes ``R^H``.  Returns ``(factor, values, outside)``, with
-    ``outside`` the squared norm of the part of ``values`` outside Q's
-    span (0.0 when m <= k and nothing changes).  ``qr``, when given, is
-    that QR, taken once for a factor that several blocks share.
-    """
-    if factor.shape[1] <= factor.shape[0]:
-        return factor, values, 0.0
-    q, r = np.linalg.qr(factor.conj().T) if qr is None else qr
-    inside = q.conj().T @ values
-    rest = values - q @ inside
-    return r.conj().T, inside, float(np.vdot(rest, rest).real)
 
 
 def _merge_frequencies(detections, tol: float, cap: int, floor: float) -> np.ndarray:
@@ -814,24 +783,25 @@ def _directions(oracle: ChannelOracle, beams, receive: bool, geom: ArrayGeometry
     in beam order, and the pencil then fits the snapshots as one stack.
     The pencil's order is capped at :func:`_order_cap` and detections
     merge within a quarter of the array's resolution, ``0.25 / n``.
-    Returns ``(measurements, angles, slots, lanczos_steps)``: the
-    ``(tx, rx, values)`` triples, ``ceil(n / n_chains)`` training slots
-    per snapshot, and each pencil's ``lanczos_steps``.
+    Returns ``((probes, observations), angles, slots, lanczos_steps)``:
+    the beams as the columns of one matrix, the (len(beams), n) stack of
+    observations in beam order, as :func:`estimate_gains` takes them,
+    ``ceil(n / n_chains)`` training slots per snapshot, and each
+    pencil's ``lanczos_steps``.
     """
     n = geom.n_elements
-    measurements = [(beam, None, oracle.observe(beam, None)) if receive
-                    else (None, beam, oracle.observe(None, beam)) for beam in beams]
-    stack = np.array([values.ravel() for _, _, values in measurements])
-    spectra = line_spectrum_estimate(stack if receive else stack.conj(), _order_cap(n),
-                                     _RANK_THRESHOLD)
+    observations = np.array([(oracle.observe(beam, None) if receive
+                              else oracle.observe(None, beam)).ravel() for beam in beams])
+    spectra = line_spectrum_estimate(observations if receive else observations.conj(),
+                                     _order_cap(n), _RANK_THRESHOLD)
     detections = [detection for spectrum in spectra
                   for detection in zip(spectrum.frequencies, np.abs(spectrum.coefficients))]
     freqs = _merge_frequencies(detections, 0.25 / n, _MAX_PATHS, _RANK_THRESHOLD)
     if freqs.size == 0:
         side = "arrival" if receive else "departure"
         raise EstimationFailedError(f"no {side} directions detected")
-    return (measurements, _freq_to_angle(freqs), len(beams) * _slots(n, n_chains),
-            tuple(spectrum.lanczos_steps for spectrum in spectra))
+    return ((np.stack(beams, axis=1), observations), _freq_to_angle(freqs),
+            len(beams) * _slots(n, n_chains), tuple(spectrum.lanczos_steps for spectrum in spectra))
 
 
 def estimate_channel(
@@ -860,13 +830,12 @@ def estimate_channel(
     rx_cb = dft_codebook(rx_geom, cfg.l_sm)
     beams = _strongest_tx_beams(oracle, tx_cb, rx_cb, cfg.keep)
     tx_beams = [tx_cb.beams[:, i] for i in beams]
-    rx_measurements, aoas, slots_phase2, _ = _directions(oracle, tx_beams, True, rx_geom,
-                                                         cfg.n_bb_sm)
+    phase2, aoas, slots_phase2, _ = _directions(oracle, tx_beams, True, rx_geom, cfg.n_bb_sm)
     back_beams = [steering_vector(rx_geom, aoa) for aoa in aoas]
-    tx_measurements, aods, slots_phase3, steps_phase3 = _directions(oracle, back_beams, False,
-                                                                    tx_geom, cfg.n_bb_ma)
-    coupling, gain_residual = estimate_gains(rx_measurements + tx_measurements, aods, aoas,
-                                             tx_geom, rx_geom, cfg.path_loss)
+    phase3, aods, slots_phase3, steps_phase3 = _directions(oracle, back_beams, False, tx_geom,
+                                                           cfg.n_bb_ma)
+    coupling, gain_residual = estimate_gains(phase2, phase3, aods, aoas, tx_geom, rx_geom,
+                                             cfg.path_loss)
     pairs = _dominant_pairs(coupling)
     paths = PathSet(
         gains=np.array([coupling[i, j] for i, j in pairs]),

@@ -29,10 +29,15 @@ MACRO = ArrayGeometry(512)
 SMALL = ArrayGeometry(32)
 
 
-def fig5_draws(count, seed):
+def fig5_draws(count, seed, **arrays):
     # Noisy fig5 estimation inputs: (h, fresh oracle, estimation config) per
-    # draw, alternating the preset's Rician factors.
+    # draw, alternating the preset's Rician factors.  `arrays` overrides the
+    # scenario's n_ma, n_sm, k_users and chains, with critically sampled
+    # codebooks on the new arrays.
     scenarios = [c for c in config.preset_scenarios("fig5") if c.allocation == "waterfilling"]
+    if arrays:
+        scenarios = [dataclasses.replace(c, **arrays, estimation=dataclasses.replace(
+            c.estimation, l_ma=arrays["n_ma"], l_sm=arrays["n_sm"])) for c in scenarios]
     tx, rx = scenarios[0].macro_geometry(), scenarios[0].small_geometry()
     for i in range(count):
         cfg = scenarios[i % len(scenarios)]
@@ -40,7 +45,7 @@ def fig5_draws(count, seed):
         h = assemble_channel(tx, rx, paths)
         oracle = ChannelOracle(h, simulation.observation_noise_var(cfg),
                                simulation.derive_rng(seed, i, 1))
-        yield h, oracle, dataclasses.replace(cfg.estimation, path_loss=cfg.path_loss)
+        yield h, oracle, cfg.estimation
 
 
 def separated_angles(rng, count, min_sin_gap):
@@ -86,6 +91,29 @@ class TestDftCodebook:
             with pytest.raises(ValueError):
                 array[0] = 0
         assert dft_codebook(ArrayGeometry(17), 16).beams is not first.beams
+
+    def test_codebook_is_its_shape(self):
+        cb = dft_codebook(ArrayGeometry(16), 4)
+        assert cb == Codebook(16, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cb.size = 8
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="size"):
+                Codebook(16, size)
+            with pytest.raises(ValueError, match="size"):
+                dft_codebook(ArrayGeometry(16), size)
+
+    def test_sweep_does_not_depend_on_the_cache(self):
+        # A codebook observed again after four other shapes have been built
+        # (and its cached arrays evicted) gives the same bits.
+        tx, rx = ArrayGeometry(64), ArrayGeometry(8)
+        tx_cb, rx_cb = dft_codebook(tx, 48), dft_codebook(rx, 6)
+        h = assemble_channel(tx, rx, separated_paths(25, 3, tx, rx))
+        oracle = ChannelOracle(h, 0.0, np.random.default_rng(26))
+        first = oracle.observe(tx_cb, rx_cb)
+        for size in (8, 16, 24, 32):
+            assert dft_codebook(tx, size).beams.shape == (64, size)
+        assert np.array_equal(oracle.observe(tx_cb, rx_cb), first)
 
 
 class TestCoarseSweep:
@@ -186,29 +214,6 @@ class TestCodebookSweep:
         assert swept.bit_generator.state == drawn.bit_generator.state
 
 
-    def test_other_codebooks_are_applied_by_their_beams(self):
-        # Only dft_codebook's own beams go through the FFT: a Codebook built
-        # from any other matrix, even a copy of the DFT beams, is multiplied
-        # as its beams, in observe and in coarse_sweep.
-        rng = np.random.default_rng(23)
-        tx_geom, rx_geom = ArrayGeometry(16), ArrayGeometry(4)
-        h = assemble_channel(tx_geom, rx_geom, sample_paths(PathDistribution(3, 3), rng))
-        angles = rng.uniform(0, 2 * np.pi, 5)
-        tx_cb = Codebook(beams=steering_matrix(tx_geom, angles), angles=angles)
-        rx_dft = dft_codebook(rx_geom, 4)
-        rx_copy = Codebook(beams=rx_dft.beams.copy(), angles=rx_dft.angles)
-        oracle = ChannelOracle(h, 0.0, rng)
-        assert np.array_equal(oracle.observe(tx_cb, None), oracle.observe(tx_cb.beams, None))
-        assert np.array_equal(oracle.observe(None, rx_copy), oracle.observe(None, rx_copy.beams))
-        dense = rx_dft.beams.conj().T @ h.conj().T @ tx_cb.beams
-        for rx_cb in (rx_dft, rx_copy):
-            np.testing.assert_allclose(oracle.observe(tx_cb, rx_cb), dense,
-                                       rtol=0, atol=1e-12 * np.max(np.abs(dense)))
-        best = (np.abs(dense) ** 2).max(axis=0)
-        kept = coarse_sweep(h, tx_cb, rx_copy, 0.0, 5, np.random.default_rng(24))
-        assert kept == list(np.argsort(-best, kind="stable"))
-
-
 class TestArraySnapshot:
     def test_full_chain_count_single_slot(self):
         h = assemble_channel(ArrayGeometry(16), ArrayGeometry(8), separated_paths(5, 2, ArrayGeometry(16), ArrayGeometry(8)))
@@ -265,15 +270,27 @@ class TestArraySnapshot:
         assert row.shape == (1, n_tx)
         expected = beam.conj() @ h.conj().T
         np.testing.assert_allclose(row[0], expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
-        (measurement,), _, used, _ = estimation._directions(oracle, [beam], False, tx, n_chains)
-        assert measurement[0] is None and measurement[1] is beam
-        assert np.array_equal(measurement[2], row)
+        (probes, rows), _, used, _ = estimation._directions(oracle, [beam], False, tx, n_chains)
+        assert np.array_equal(probes, beam[:, None])
+        assert np.array_equal(rows, row)
         assert used == slots
 
     def test_rejects_zero_chains(self):
         h = np.ones((4, 4))
         with pytest.raises(ValueError):
             array_snapshot(h, np.ones(4), ArrayGeometry(4), 0, 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("noise_var", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_noise_var(self, noise_var):
+        # The oracle's check covers every measurement built on it.
+        geom, h = ArrayGeometry(4), np.ones((4, 4))
+        cb = dft_codebook(geom, 4)
+        rng = np.random.default_rng(0)
+        for call in (lambda: ChannelOracle(h, noise_var, rng),
+                     lambda: coarse_sweep(h, cb, cb, noise_var, 1, rng),
+                     lambda: array_snapshot(h, np.ones(4), geom, 1, noise_var, rng)):
+            with pytest.raises(ValueError, match="noise_var"):
+                call()
 
 
 class TestLineSpectrum:
@@ -591,21 +608,18 @@ class TestTruncatedPencil:
 
 
 class TestEstimateGains:
-    def _measurements(self, h, beams, n_rx):
-        eye = np.eye(n_rx, dtype=complex)
-        return [
-            (beam, eye, (eye.conj().T @ h.conj().T @ beam).reshape(n_rx, 1))
-            for beam in beams.T
-        ]
+    @staticmethod
+    def _stacks(h, tx_beams, rx_beams):
+        # Noiseless phase-2 and phase-3 stacks of the given beams.
+        h_herm = np.asarray(h).conj().T
+        return (tx_beams, (h_herm @ tx_beams).T), (rx_beams, rx_beams.conj().T @ h_herm)
 
     def test_diagonal_recovery(self):
         paths = separated_paths(10, 3, ArrayGeometry(64), ArrayGeometry(16))
         tx, rx = ArrayGeometry(64), ArrayGeometry(16)
         h = assemble_channel(tx, rx, paths)
-        beams = steering_matrix(tx, paths.aods)
-        coupling, residual = estimate_gains(
-            self._measurements(h, beams, 16), paths.aods, paths.aoas, tx, rx
-        )
+        stacks = self._stacks(h, steering_matrix(tx, paths.aods), steering_matrix(rx, paths.aoas))
+        coupling, residual = estimate_gains(*stacks, paths.aods, paths.aoas, tx, rx)
         off = coupling - np.diag(np.diag(coupling))
         assert np.max(np.abs(np.diag(coupling) - paths.gains)) <= 1e-8
         assert np.max(np.abs(off)) <= 1e-8 * np.max(np.abs(coupling))
@@ -615,59 +629,35 @@ class TestEstimateGains:
         tx, rx = ArrayGeometry(32), ArrayGeometry(8)
         paths = PathSet(gains=[0.3 + 0.9j], aods=[1.2], aoas=[2.5])
         h = assemble_channel(tx, rx, paths)
-        beams = steering_matrix(tx, paths.aods)
-        coupling, _ = estimate_gains(
-            self._measurements(h, beams, 8), paths.aods, paths.aoas, tx, rx
-        )
+        stacks = self._stacks(h, steering_matrix(tx, paths.aods), np.empty((8, 0)))
+        coupling, _ = estimate_gains(*stacks, paths.aods, paths.aoas, tx, rx)
         np.testing.assert_allclose(coupling, [[0.3 + 0.9j]], atol=1e-10)
 
     def test_zero_observations_give_zero(self):
         tx, rx = ArrayGeometry(16), ArrayGeometry(8)
-        beam = steering_vector(tx, 0.5)
-        eye = np.eye(8, dtype=complex)
-        measurements = [(beam, eye, np.zeros((8, 1), dtype=complex))]
-        coupling, residual = estimate_gains(measurements, [0.5], [1.0], tx, rx)
+        stacks = self._stacks(np.zeros((16, 8)), steering_matrix(tx, [0.5]),
+                              steering_matrix(rx, [1.0]))
+        coupling, residual = estimate_gains(*stacks, [0.5], [1.0], tx, rx)
         np.testing.assert_allclose(coupling, np.zeros((1, 1)), atol=1e-15)
         assert residual == 0.0
 
-    def test_implicit_identity_is_bit_identical(self):
-        # None stands for sampling every element; the fit must not change
-        # by a single bit against the explicit identity.
-        paths = separated_paths(15, 3)
-        h = assemble_channel(MACRO, SMALL, paths)
-        oracle = ChannelOracle(h, 0.01, np.random.default_rng(16))
-        implicit, explicit = [], []
-        for aod in paths.aods:
-            beam = steering_vector(MACRO, aod)
-            snap = oracle.observe(beam, None)
-            implicit.append((beam, None, snap))
-            explicit.append((beam, np.eye(32, dtype=complex), snap))
-        for aoa in paths.aoas:
-            beam = steering_vector(SMALL, aoa)
-            raw = oracle.observe(None, beam)
-            implicit.append((None, beam, raw))
-            explicit.append((np.eye(512, dtype=complex), beam, raw))
-        fits = [estimate_gains(m, paths.aods, paths.aoas, MACRO, SMALL)
-                for m in (implicit, explicit)]
-        assert np.array_equal(fits[0][0], fits[1][0])
-        assert fits[0][1] == fits[1][1]
-
     def test_underdetermined_rejected(self):
-        tx, rx = ArrayGeometry(16), ArrayGeometry(8)
-        beam = steering_vector(tx, 0.5)
-        measurements = [(beam, steering_vector(rx, 1.0), np.zeros((1, 1), complex))]
+        # One 4-element snapshot and no phase-3 rows cannot fix 3 x 2 gains.
+        tx, rx = ArrayGeometry(16), ArrayGeometry(4)
+        stacks = self._stacks(np.ones((16, 4)), steering_matrix(tx, [0.5]), np.empty((4, 0)))
         with pytest.raises(InsufficientMeasurementsError):
-            estimate_gains(measurements, [0.5, 0.6], [1.0, 1.1], tx, rx)
+            estimate_gains(*stacks, [0.5, 0.6, 0.7], [1.0, 1.1], tx, rx)
 
     def test_counts_observations_before_compression(self):
         # One receive-array snapshot is 8 scalar observations, though it
         # compresses to one row per arrival angle.
         tx, rx = ArrayGeometry(16), ArrayGeometry(8)
-        beam = steering_vector(tx, 0.5)
-        snapshot = [(beam, None, np.ones((8, 1), complex))]
+        snapshot = (steering_matrix(tx, [0.5]), np.ones((1, 8), complex))
+        no_rows = (np.empty((8, 0)), np.empty((0, 16)))
         with pytest.raises(InsufficientMeasurementsError):
-            estimate_gains(snapshot, np.linspace(0.1, 0.9, 5), [1.0, 1.1], tx, rx)
-        coupling, _ = estimate_gains(snapshot, np.linspace(0.1, 0.9, 4), [1.0, 1.1], tx, rx)
+            estimate_gains(snapshot, no_rows, np.linspace(0.1, 0.9, 5), [1.0, 1.1], tx, rx)
+        coupling, _ = estimate_gains(snapshot, no_rows, np.linspace(0.1, 0.9, 4), [1.0, 1.1],
+                                     tx, rx)
         assert coupling.shape == (4, 2)
 
     @staticmethod
@@ -693,34 +683,41 @@ class TestEstimateGains:
         residual = np.linalg.norm(design @ solution - rhs) / rhs_norm if rhs_norm > 0 else 0.0
         return solution.reshape(aoas.size, aods.size).conj().T, residual
 
+    @staticmethod
+    def triples(receive, transmit):
+        # The two stacks as full_design_gains' (tx, rx, values) triples.
+        (tx_probes, snapshots), (rx_probes, rows) = receive, transmit
+        return ([(p, None, y[:, None]) for p, y in zip(tx_probes.T, snapshots)]
+                + [(None, p, y[None, :]) for p, y in zip(rx_probes.T, rows)])
+
     def test_projected_fit_matches_full_design(self, monkeypatch):
-        # On the pipeline's own fig5 measurements, on a mix of identity
-        # probes given as None and as explicit matrices plus a wide explicit
-        # probe at both ends, and on zero observations, the compressed
-        # design gives the full design's fit up to rounding.
+        # On the pipeline's own measurements and on zero observations, the
+        # projected design gives the full design's fit up to rounding: on
+        # fig5 draws, and on 8/4 arrays, where a fit can have more arrival
+        # angles than receive elements.
         fits = []
         monkeypatch.setattr(estimation, "estimate_gains",
                             lambda *args: fits.append(args) or estimate_gains(*args))
-        for h, oracle, cfg in fig5_draws(20, 2702):
-            estimation.estimate_channel(oracle, MACRO, SMALL, cfg)
-            measurements, aods, aoas, *_ = fits[-1]
-            mixed = [(tx, np.eye(32) if rx is None and k % 2 else rx, values)
-                     if tx is not None else (np.eye(512) if k % 2 else None, rx, values)
-                     for k, (tx, rx, values) in enumerate(measurements)]
-            rng = np.random.default_rng(len(fits))
-            wide_tx = rng.standard_normal((512, aods.size + 2)) + 0j
-            wide_rx = rng.standard_normal((32, aoas.size + 3)) + 0j
-            mixed.append((wide_tx, wide_rx, oracle.observe(wide_tx, wide_rx)))
-            zero = [(tx, rx, np.zeros_like(values)) for tx, rx, values in mixed]
-            for case in (measurements, mixed, zero):
-                coupling, residual = estimate_gains(case, aods, aoas, MACRO, SMALL, cfg.path_loss)
-                ref_coupling, ref_residual = self.full_design_gains(
-                    case, aods, aoas, MACRO, SMALL, cfg.path_loss)
-                assert coupling.shape == ref_coupling.shape
-                np.testing.assert_allclose(coupling, ref_coupling, rtol=0,
-                                           atol=1e-10 * np.max(np.abs(ref_coupling)))
-                assert abs(residual - ref_residual) <= 1e-10 * ref_residual
-        assert len(fits) == 20
+        wide = 0
+        for tx, rx, draws in ((MACRO, SMALL, fig5_draws(20, 2702)),
+                              (ArrayGeometry(8), ArrayGeometry(4),
+                               fig5_draws(60, 2703, n_ma=8, n_sm=4, k_users=1,
+                                          n_bb_ma=2, n_bb_sm=1))):
+            for h, oracle, cfg in draws:
+                estimation.estimate_channel(oracle, tx, rx, cfg)
+                receive, transmit, aods, aoas, *_ = fits[-1]
+                wide += aoas.size > rx.n_elements
+                zero = [(probes, np.zeros_like(values)) for probes, values in (receive, transmit)]
+                for case in ((receive, transmit), zero):
+                    coupling, residual = estimate_gains(*case, aods, aoas, tx, rx, cfg.path_loss)
+                    ref_coupling, ref_residual = self.full_design_gains(
+                        self.triples(*case), aods, aoas, tx, rx, cfg.path_loss)
+                    assert coupling.shape == ref_coupling.shape
+                    np.testing.assert_allclose(coupling, ref_coupling, rtol=0,
+                                               atol=1e-10 * np.max(np.abs(ref_coupling)))
+                    assert abs(residual - ref_residual) <= 1e-10 * ref_residual
+        assert len(fits) == 80
+        assert wide > 0
 
 
 class TestEstimateChannel:

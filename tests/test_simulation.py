@@ -312,9 +312,11 @@ class TestGridEvaluator:
     @pytest.fixture(scope="class")
     def links(self):
         # On this draw each hybrid link's budgets leave the refinement after
-        # 0 or 1 improving passes, so the lockstep masking is exercised.
+        # 0 or 1 improving passes, so the lockstep masking is exercised; every
+        # pass's improvement or shortfall is at least 5e-9 relative, so
+        # rounding-level changes to the estimator cannot flip a pass count.
         cfg = ScenarioConfig(
-            n_ma=64, n_sm=16, k_users=2, n_bb_ma=8, n_bb_sm=4, trials=1, master_seed=2,
+            n_ma=64, n_sm=16, k_users=2, n_bb_ma=8, n_bb_sm=4, trials=1, master_seed=41,
             estimation=EstimationConfig(l_ma=64, l_sm=16, keep=4, snr_db=20.0),
             schemes=("hybrid_ideal", "hybrid_estimated", "full_digital"),
         )
