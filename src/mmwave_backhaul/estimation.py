@@ -12,17 +12,22 @@ each snapshot into arrival directions.  Phase 3 swaps roles to estimate
 departure directions the same way.  Each phase takes all of its
 snapshots first, in beam order, and then fits them as one stack: the
 phase's pencils run in lockstep, and each snapshot gets the fit it
-would get alone.  A final least-squares fit on the two phases' stacks
-recovers the coupling gains between every estimated departure/arrival
-pair, the dominant pairs become the path estimate, and the channel is
-rebuilt from them.  That fit projects each stack onto the span of the
-estimated steering vectors at its array first, so its cost follows the
-number of angles, not the array size.
+would get alone.  Past the singular vectors the pencil works per model
+order: one closed-form shift step, one batched eigenvalue call and one
+augmented QR for the amplitudes and residuals, with no pseudoinverse
+and no per-snapshot least squares on the normal path (a snapshot whose
+roots collapse is fitted alone).  A final least-squares fit on the two
+phases' stacks recovers the coupling gains between every estimated
+departure/arrival pair, the dominant pairs become the path estimate,
+and the channel is rebuilt from them.  That fit projects each stack
+onto the span of the estimated steering vectors at its array first, so
+its cost follows the number of angles, not the array size.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,10 +91,11 @@ class LineSpectrum:
 
     ``frequencies`` are normalized spatial frequencies in [-0.5, 0.5);
     ``coefficients`` are the amplitudes against the unit-norm basis
-    ``exp(2j*pi*f*m)/sqrt(N)``; ``residual`` is the remaining snapshot
-    energy outside the model.  ``lanczos_steps`` is the depth of the
-    Lanczos run that gave the leading singular triplets, 0 when the
-    dense SVD was taken.
+    ``exp(2j*pi*f*m)/sqrt(N)``; ``residual`` is the norm of the
+    snapshot minus the model, read as the magnitude of the last diagonal
+    entry of the triangular factor of ``[basis | snapshot]``.
+    ``lanczos_steps`` is the depth of the Lanczos run that gave the
+    leading singular triplets, 0 when the dense SVD was taken.
     """
 
     frequencies: np.ndarray
@@ -562,10 +568,16 @@ def line_spectrum_estimate(snapshots, max_order: int, rank_threshold: float):
     32-element snapshot, or when a Ritz value lies too close to the
     order's cut to decide it.  Frequencies come from the
     shift-invariance eigenvalue problem on the leading left singular
-    vectors (Hua & Sarkar 1990), and amplitudes from least squares
-    against the snapshot.  For a noiseless sum of at most
-    ``min(max_order, n//2 - 1)`` distinct exponentials the recovery is
-    exact up to rounding.  A row's fit does not depend on the other
+    vectors (Hua & Sarkar 1990), whose operator ``pinv(U1) @ U2`` is
+    taken in closed form from the orthonormality of the vectors (see
+    :func:`_shift_operator`), one batched product and eigenvalue call
+    per model order.  Amplitudes are the least-squares fit against the
+    snapshot, and the residual its misfit norm, both read from one
+    batched QR of the exponential basis with the snapshot appended, per
+    model order (see :func:`_fit_amplitudes`); a snapshot whose roots
+    collapse is fitted alone at its lower order.  For a noiseless
+    sum of at most ``min(max_order, n//2 - 1)`` distinct exponentials
+    the recovery is exact up to rounding.  A row's fit does not depend on the other
     rows of its stack.
 
     Returns one ``LineSpectrum`` per row of a stack, or the
@@ -574,10 +586,10 @@ def line_spectrum_estimate(snapshots, max_order: int, rank_threshold: float):
     Raises
     ------
     ValueError
-        If the snapshots are shorter than 4 samples, ``max_order``
-        exceeds half their length, the input is neither one snapshot
-        nor a 2-D stack, or ``rank_threshold`` is not a finite number
-        in [0, 1].
+        If the snapshots are shorter than 4 samples, ``max_order`` is
+        below 1 or exceeds half their length, the input is neither one
+        snapshot nor a 2-D stack, or ``rank_threshold`` is not a finite
+        number in [0, 1].
     """
     if not 0.0 <= rank_threshold <= 1.0:  # NaN fails both comparisons
         raise ValueError(
@@ -590,46 +602,120 @@ def line_spectrum_estimate(snapshots, max_order: int, rank_threshold: float):
     if n < 4:
         raise ValueError("snapshot must have at least 4 samples")
     pencil = n // 2
-    if max_order > pencil:
-        raise ValueError(f"max_order must be <= {pencil} for a length-{n} snapshot")
+    if not 1 <= max_order <= pencil:
+        raise ValueError(f"max_order must be in [1, {pencil}] for a length-{n} snapshot, "
+                         f"got {max_order!r}")
 
     rows = n - pencil
     triplets = _leading_left_singular(stack, rows, max_order, rank_threshold)
-    # The shift-invariance eigenvalue problem, one stacked pinv, product and
-    # eigvals per model order and width of the left vectors.  Each gives a
-    # row bit for bit its lone result; for the product that holds only on
-    # slices of the whole stacked left vectors, as its rounding follows the
-    # memory layout.
-    groups = {}
-    for b, (order, u, _) in enumerate(triplets):
+    # One shift step, eigvals and amplitude fit per model order, on that
+    # order's rows.  Every stacked call works matrix by matrix on a copy of
+    # the same layout, so a row's fit is bit for bit its lone fit.
+    kept = {}
+    for b, (order, _, _) in enumerate(triplets):
+        kept.setdefault(order, []).append(b)
+    spectra = [None] * len(stack)
+    for order, members in kept.items():
+        members = np.asarray(members)
+        freqs = np.empty((members.size, 0))
         if order:
-            groups.setdefault((order, u.shape[1]), []).append(b)
-    roots = {}
-    for (order, _), members in groups.items():
-        left = np.stack([triplets[b][1] for b in members])
-        shifts = np.linalg.pinv(left[:, :-1, :order]) @ left[:, 1:, :order]
-        roots.update(zip(members, np.linalg.eigvals(shifts)))
-    spectra = [_fit_amplitudes(row, roots.get(b, np.empty(0)), steps)
-               for b, (row, (_, _, steps)) in enumerate(zip(stack, triplets))]
+            left = np.stack([triplets[b][1][:, :order] for b in members])
+            roots = np.linalg.eigvals(_shift_operator(left))
+            freqs = np.sort(np.mod(np.angle(roots) / (2.0 * np.pi) + 0.5, 1.0) - 0.5, axis=1)
+        # Collapse numerically coincident roots so the model stays
+        # identifiable; a row that loses one leaves the group, fitted alone.
+        distinct = np.diff(freqs, axis=1) > 1e-9
+        whole = distinct.all(axis=1)
+        fits = [(members[whole], freqs[whole])] if whole.any() else []
+        fits += [(members[[b]], freqs[b, np.r_[True, distinct[b]]][None])
+                 for b in np.flatnonzero(~whole)]
+        for rows_of_fit, fit_freqs in fits:
+            coefs, residuals = _fit_amplitudes(stack[rows_of_fit], fit_freqs)
+            for b, f, c, r in zip(rows_of_fit.tolist(), fit_freqs, coefs, residuals.tolist()):
+                spectra[b] = LineSpectrum(frequencies=f, coefficients=c, residual=r,
+                                          lanczos_steps=triplets[b][2])
     return spectra[0] if x.ndim == 1 else spectra
 
 
-def _fit_amplitudes(x: np.ndarray, roots: np.ndarray, steps: int) -> LineSpectrum:
-    # The snapshot's line spectrum at the frequencies of the pencil's roots.
-    freqs = np.angle(roots) / (2.0 * np.pi)
-    freqs = np.mod(freqs + 0.5, 1.0) - 0.5
-    freqs = np.sort(freqs)
-    # Collapse numerically coincident roots so the model stays identifiable.
-    keep_mask = np.ones(freqs.size, dtype=bool)
-    keep_mask[1:] = np.diff(freqs) > 1e-9
-    freqs = freqs[keep_mask]
+# The closed-form shift step inverts U1^H U1 = I - w w^H, whose smallest
+# eigenvalue is 1 - |w|^2; below this cut a member takes the pseudoinverse.
+# The closed form takes U's columns as exactly orthonormal, so its error is
+# about their rounding error (a few 1e-15) over 1 - |w|^2: a few 1e-12 at
+# the cut.  On fig5 stacks 1 - |w|^2 stays above 0.2.
+_SHIFT_CUT = 1e-3
 
-    n = x.size
-    basis = np.exp(2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)
+
+def _shift_operator(left: np.ndarray) -> np.ndarray:
+    """``pinv(U1) @ U2`` for each member U of a (G, rows, p) stack.
+
+    U has orthonormal columns, U1 drops its last row and U2 its first.
+    With w the conjugate of U's last row, ``U1^H U1 = I - w w^H``, so
+    ``pinv(U1) = (I + w w^H / (1 - |w|^2)) U1^H`` (Sherman-Morrison): one
+    batched product instead of a batched SVD.  A member whose ``1 -
+    |w|^2`` is below ``_SHIFT_CUT`` takes ``np.linalg.pinv`` instead.
+    """
+    u1, u2 = left[:, :-1], left[:, 1:]
+    w = left[:, -1].conj()
+    gap = 1.0 - _row_norms(w) ** 2
+    cross = np.matmul(u1.conj().swapaxes(1, 2), u2)
+    shifts = cross + w[:, :, None] * (np.matmul(w.conj()[:, None], cross) / gap[:, None, None])
+    low = gap < _SHIFT_CUT
+    if low.any():
+        shifts[low] = np.linalg.pinv(u1[low]) @ u2[low]
+    return shifts
+
+
+# A fit whose triangular factor has a diagonal entry at or below this
+# fraction of its largest is numerically singular and goes to lstsq.  The
+# ratio of the diagonal only bounds the basis's singular value ratio from
+# above, so the cut sits well above lstsq's own n * eps: at n = 32 the
+# pair -0.5 and the largest double below 0.5 has a ratio of 8e-15, above
+# 32 * eps, while lstsq truncates it.  Sorted frequencies within 1e-9
+# collapse before the fit, so only a pair close across the wrap gets here.
+_FIT_CUT = 1e-8
+
+
+def _fit_amplitudes(x: np.ndarray, freqs: np.ndarray):
+    """Least-squares amplitudes of each row of ``x`` at its frequencies.
+
+    ``x`` is a (G, n) stack and ``freqs`` (G, p).  Row g's basis is the
+    (n, p) Vandermonde ``exp(2j*pi*f*k)/sqrt(n)``, built from two short
+    exponentials (k = a*m + b with m = ceil(sqrt(n))).  The snapshot is
+    appended as column p + 1 and one batched QR gives R: the
+    coefficients solve ``R[:p, :p] c = R[:p, p]`` and the residual norm
+    is ``|R[p, p]|``.  A row whose R is numerically singular (see
+    ``_FIT_CUT``) takes ``np.linalg.lstsq`` on its basis instead.
+    Returns the (G, p) coefficients and the (G,) residual norms.
+    """
+    g, n = x.shape
+    p = freqs.shape[1]
+    if not p:
+        return np.empty((g, 0), dtype=complex), _row_norms(x)
+    m = math.isqrt(n - 1) + 1
+    blocks = -(-n // m)
+    coarse = np.exp(2j * np.pi * (m * np.arange(blocks))[:, None] * freqs[:, None, :])
+    fine = np.exp(2j * np.pi * np.arange(m)[:, None] * freqs[:, None, :]) / np.sqrt(n)
+    # Row a*m + b of the basis is coarse[a] * fine[b]; the first n rows count.
+    buffer = np.empty((g, blocks, m, p + 1), dtype=complex)
+    np.multiply(coarse[:, :, None], fine[:, None], out=buffer[..., :p])
+    augmented = buffer.reshape(g, blocks * m, p + 1)[:, :n]
+    augmented[:, :, p] = x
+    r = np.linalg.qr(augmented, mode="r")
+    diagonal = np.abs(np.diagonal(r[:, :p, :p], axis1=1, axis2=2))
+    singular = diagonal.min(axis=1) <= _FIT_CUT * diagonal.max(axis=1)
+    r[singular, :p, :p] = np.eye(p)  # keeps the solve regular; lstsq refits these rows
+    coefs = np.linalg.solve(r[:, :p, :p], r[:, :p, p:])[:, :, 0]
+    residuals = np.abs(r[:, p, p])
+    for b in np.flatnonzero(singular):
+        coefs[b], residuals[b] = _lstsq_fit(x[b], freqs[b])
+    return coefs, residuals
+
+
+def _lstsq_fit(x: np.ndarray, freqs: np.ndarray):
+    # One snapshot's amplitudes and residual norm by lstsq on its basis.
+    basis = np.exp(2j * np.pi * np.outer(np.arange(x.size), freqs)) / np.sqrt(x.size)
     coefs, *_ = np.linalg.lstsq(basis, x, rcond=None)
-    residual = float(np.linalg.norm(x - basis @ coefs))
-    return LineSpectrum(frequencies=freqs, coefficients=coefs, residual=residual,
-                        lanczos_steps=steps)
+    return coefs, np.linalg.norm(x - basis @ coefs)
 
 
 # Relative cut on the gain fit's singular values: when two estimated

@@ -355,6 +355,11 @@ class TestLineSpectrum:
             line_spectrum_estimate(snap, 9, 1e-6)
         with pytest.raises(ValueError):
             line_spectrum_estimate(snap[:3], 1, 1e-6)
+        # An order below 1 is refused too, at a dense (32) and a Lanczos (512) length.
+        for n in (32, 512):
+            for order in (-1, 0):
+                with pytest.raises(ValueError, match="max_order"):
+                    line_spectrum_estimate(np.ones(n, dtype=complex), order, 1e-6)
 
     def test_rank_threshold_range(self):
         # One tone in noise, 512 elements: a threshold of 0 keeps every
@@ -482,7 +487,8 @@ class TestTruncatedPencil:
     def test_stack_rows_match_lone_runs(self):
         # Rows that stop at different depths, and rows that run all 32
         # steps, share lockstep runs in stacks of 1 to 8.  Each row keeps
-        # its lone run's stop depth, order and singular triplets.
+        # its lone run's stop depth, order and singular triplets, and its
+        # lone fit bit for bit.
         snaps = np.array(list(self.noisy_snapshots()))
         lone = [estimation._golub_kahan_lanczos(snap[None], 256, 32, 8, 1e-2)[0] for snap in snaps]
         lone_specs = [line_spectrum_estimate(snap, 8, 1e-2) for snap in snaps]
@@ -498,8 +504,11 @@ class TestTruncatedPencil:
                     assert s.size == want_s.size and u.shape == want_u.shape
                     np.testing.assert_allclose(s, want_s, rtol=1e-12)
                     np.testing.assert_allclose(u, want_u, rtol=0, atol=1e-12)
-                    assert spec.lanczos_steps == lone_specs[first + b].lanczos_steps
-                    assert spec.order == lone_specs[first + b].order
+                    alone = lone_specs[first + b]
+                    assert spec.lanczos_steps == alone.lanczos_steps
+                    assert np.array_equal(spec.frequencies, alone.frequencies)
+                    assert np.array_equal(spec.coefficients, alone.coefficients)
+                    assert spec.residual == alone.residual
 
     def test_stack_of_one_is_the_single_call(self):
         for snap in list(self.noisy_snapshots())[:6]:
@@ -509,6 +518,71 @@ class TestTruncatedPencil:
             assert np.array_equal(stacked.coefficients, single.coefficients)
             assert stacked.residual == single.residual
             assert stacked.lanczos_steps == single.lanczos_steps
+
+    def test_closed_form_shift_matches_pinv(self):
+        # The shift step on the kept left vectors of the noisy snapshots,
+        # from their Lanczos runs and from dense SVDs, at every order up to
+        # 8, one member at a time and as one stack per order.
+        snaps = np.array(list(self.noisy_snapshots()))
+        hankels = snaps[:, np.arange(256)[:, None] + np.arange(257)[None, :]]
+        lefts = [u for _, u, _ in estimation._golub_kahan_lanczos(snaps, 256, 32, 8, 1e-2)]
+        lefts += list(np.linalg.svd(hankels, full_matrices=False)[0][:, :, :8])
+        for order in range(1, 9):
+            stack = np.stack([u[:, :order] for u in lefts if u.shape[1] >= order])
+            stacked = estimation._shift_operator(stack)
+            for u, got in zip(stack, stacked):
+                want = np.linalg.pinv(u[:-1]) @ u[1:]
+                np.testing.assert_allclose(estimation._shift_operator(u[None])[0], want,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert len(stack) == len(lefts) == 2 * len(snaps)
+
+    def test_shift_step_falls_back_to_pinv(self):
+        # Orthonormal columns whose last row holds almost all of the first
+        # column's energy: 1 - |w|^2 is below the cut, so the member takes
+        # pinv, bit for bit, alone and between two ordinary members.
+        rng = np.random.default_rng(12)
+        for rows, order in ((256, 3), (16, 2), (256, 8)):
+            a = rng.standard_normal((rows, order)) + 1j * rng.standard_normal((rows, order))
+            a[:, 0] *= 1e-3
+            a[-1, 0] = 1.0
+            u = np.linalg.qr(a)[0]
+            assert 1.0 - np.linalg.norm(u[-1]) ** 2 < estimation._SHIFT_CUT
+            ordinary = np.linalg.qr(rng.standard_normal((rows, order)))[0].astype(complex)
+            want = np.linalg.pinv(u[:-1]) @ u[1:]
+            assert np.array_equal(estimation._shift_operator(u[None])[0], want)
+            assert np.array_equal(estimation._shift_operator(np.stack([ordinary, u, ordinary]))[1],
+                                  want)
+
+    def test_collapsed_row_leaves_its_group(self, monkeypatch):
+        # A shift operator with a repeated eigenvalue in one row: that row
+        # is fitted at its lower order, by least squares on its own
+        # frequencies, and the other rows keep their lone fits.
+        snaps = list(self.noisy_snapshots())
+        lone = [line_spectrum_estimate(snap, 8, 1e-2) for snap in snaps]
+        orders = [spec.order for spec in lone]
+        order = max(set(orders), key=orders.count)
+        group = [(snap, spec) for snap, spec in zip(snaps, lone) if spec.order == order][:4]
+        assert len(group) >= 3
+        shift = estimation._shift_operator
+
+        def repeated(left):
+            shifts = shift(left)
+            if len(left) > 1:
+                roots = np.exp(2j * np.pi * np.linspace(-0.4, 0.4, left.shape[2]))
+                roots[1] = roots[0]
+                shifts[1] = np.diag(roots)
+            return shifts
+
+        monkeypatch.setattr(estimation, "_shift_operator", repeated)
+        specs = line_spectrum_estimate(np.array([snap for snap, _ in group]), 8, 1e-2)
+        assert specs[1].order == order - 1
+        basis = np.exp(2j * np.pi * np.outer(np.arange(self.n), specs[1].frequencies))
+        want = np.linalg.lstsq(basis / np.sqrt(self.n), group[1][0], rcond=None)[0]
+        np.testing.assert_allclose(specs[1].coefficients, want, rtol=1e-12)
+        for b in [0] + list(range(2, len(group))):
+            assert np.array_equal(specs[b].frequencies, group[b][1].frequencies)
+            assert np.array_equal(specs[b].coefficients, group[b][1].coefficients)
 
     @pytest.mark.filterwarnings("error")
     def test_degenerate_rows_in_a_stack(self):
@@ -605,6 +679,61 @@ class TestTruncatedPencil:
             np.testing.assert_allclose(u[:, :k].conj().T @ u[:, :k], np.eye(k), atol=1e-12)
             np.testing.assert_allclose(np.linalg.norm(hankel.conj().T @ u[:, :k], axis=0),
                                        s[:k], rtol=1e-10)
+
+
+class TestAmplitudeFit:
+    """The pencil's amplitudes and residual, one augmented QR per model order."""
+
+    @staticmethod
+    def lstsq_fit(x, freqs):
+        # The per-row reference: least squares on the unit-norm exponential basis.
+        basis = np.exp(2j * np.pi * np.outer(np.arange(x.size), freqs)) / np.sqrt(x.size)
+        return np.linalg.lstsq(basis, x, rcond=None)[0], basis
+
+    def test_matches_per_row_lstsq(self, monkeypatch):
+        # Every row of 20 fig5 snapshot stacks (both phases of 10 draws):
+        # coefficients as least squares at the row's own frequencies, and a
+        # residual equal to the norm of the row minus its model.  Neither
+        # pinv nor lstsq runs on the way.
+        stacks = []
+        pencil = estimation.line_spectrum_estimate
+        monkeypatch.setattr(estimation, "line_spectrum_estimate",
+                            lambda x, *args: stacks.append(x) or pencil(x, *args))
+        for _, oracle, cfg in fig5_draws(10, 2904):
+            estimation.estimate_channel(oracle, MACRO, SMALL, cfg)
+        assert len(stacks) == 20
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("lstsq", "pinv"):
+                patch.setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
+            fits = [pencil(x, estimation._order_cap(x.shape[1]), estimation._RANK_THRESHOLD)
+                    for x in stacks]
+        assert calls == []
+        for x, specs in zip(stacks, fits):
+            for row, spec in zip(x, specs):
+                want, basis = self.lstsq_fit(row, spec.frequencies)
+                assert np.linalg.norm(spec.coefficients - want) <= 1e-12 * np.linalg.norm(want)
+                misfit = np.linalg.norm(row - basis @ spec.coefficients)
+                assert abs(spec.residual - misfit) <= 1e-12 * np.linalg.norm(row)
+
+    @pytest.mark.parametrize("n", [32, 512])
+    def test_near_collinear_pair_takes_lstsq(self, n, monkeypatch):
+        # -0.5 and 0.5 - 1e-13 are neighbours across the wrap, so they do
+        # not collapse; their basis is numerically singular and the row
+        # gets lstsq's result bit for bit, next to an ordinary row.
+        rng = np.random.default_rng([29, n])
+        x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        freqs = np.array([[0.1, 0.3], [-0.5, 0.5 - 1e-13]])
+        want, basis = self.lstsq_fit(x[1], freqs[1])
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        coefs, residuals = estimation._fit_amplitudes(x, freqs)
+        assert len(calls) == 1
+        assert np.array_equal(coefs[1], want)
+        assert residuals[1] == np.linalg.norm(x[1] - basis @ want)
+        ordinary, _ = self.lstsq_fit(x[0], freqs[0])
+        np.testing.assert_allclose(coefs[0], ordinary, rtol=1e-12)
 
 
 class TestEstimateGains:
