@@ -48,7 +48,7 @@ from .factorization import (
     factorize_combiner,
     phase_project,
 )
-from .output import RankProfileTable, emit_csv, write_manifest
+from .output import DiagnosticsTable, RankProfileTable, emit_csv, write_manifest
 from .precoding import (
     MuExactSet,
     TruncatedSvd,

@@ -360,11 +360,11 @@ def _decided_order(s, bounds, max_order: int, rank_threshold: float):
     return None
 
 
-def _lanczos_depth(n: int, max_order: int | None = None) -> int:
-    # The Lanczos depth of the pencil on a length-n snapshot at max_order
-    # (by default the estimator's _order_cap(n)), or 0 when it would not be
-    # below the Hankel's n - n // 2 rows and the dense SVD runs by design.
-    depth = _KRYLOV_PER_ORDER * (_order_cap(n) if max_order is None else max_order)
+def _lanczos_depth(n: int, max_order: int) -> int:
+    # The Lanczos depth of the pencil on a length-n snapshot at max_order,
+    # or 0 when it would not be below the Hankel's n - n // 2 rows and the
+    # dense SVD runs by design.
+    depth = _KRYLOV_PER_ORDER * max_order
     return depth if depth < n - n // 2 else 0
 
 

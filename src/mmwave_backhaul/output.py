@@ -15,6 +15,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import operator
 import os
 import platform
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ import numpy as np
 from .simulation import CapacityResult
 
 __all__ = [
+    "DiagnosticsTable",
     "RankProfileTable",
     "emit_csv",
     "write_manifest",
@@ -31,6 +33,15 @@ __all__ = [
 
 CAPACITY_COLUMNS = "scheme,allocation,snr_db,k_factor_db,trial,capacity_bpcu"
 PROFILE_COLUMNS = "l,index,mean_energy"
+# A diagnostics row's key, then its values; the three groups are each user's
+# counts, its factors (factorized schemes) and its estimate (estimated scheme).
+DIAGNOSTICS_COLUMNS = (
+    "scheme", "allocation", "k_factor_db", "trial", "user", "paths", "streams", "closed_form",
+    *(f"{kind}_{name}" for kind in ("precoder", "combiner")
+      for name in ("residual", "iterations", "pinv_steps")),
+    "estimated_paths", "departures", "arrivals", "nmse", "gain_residual",
+    "slots_phase1", "slots_phase2", "slots_phase3", "lanczos_steps_phase3",
+)
 
 # The last digits of some capacities follow the BLAS thread count.
 _THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -46,18 +57,40 @@ class RankProfileTable:
         self.rows = sorted((int(l), int(i), float(e)) for l, i, e in self.rows)
 
 
+@dataclass
+class DiagnosticsTable:
+    """Diagnostics dicts (see ``CapacityResult.diagnostics``), sorted by their key."""
+
+    rows: list
+
+    def __post_init__(self):
+        self.rows = sorted(self.rows, key=operator.itemgetter(*DIAGNOSTICS_COLUMNS[:5]))
+
+
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _cell(value) -> str:
+    # A diagnostics cell: empty if absent, 1/0 for a flag, space-separated for a tuple.
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return value if isinstance(value, str) else _fmt(value)
+
+
 def emit_csv(table, path) -> None:
-    """Write a capacity or rank-profile table as a deterministic CSV file."""
+    """Write a capacity, diagnostics or rank-profile table as a deterministic CSV file."""
     if isinstance(table, CapacityResult):
         header = CAPACITY_COLUMNS
         lines = [
             f"{r.scheme},{r.allocation},{_fmt(r.snr_db)},{_fmt(r.k_factor_db)},{r.trial},{_fmt(r.capacity_bpcu)}"
             for r in table.rows
         ]
+    elif isinstance(table, DiagnosticsTable):
+        header = ",".join(DIAGNOSTICS_COLUMNS)
+        lines = [",".join(_cell(r.get(c)) for c in DIAGNOSTICS_COLUMNS) for r in table.rows]
     elif isinstance(table, RankProfileTable):
         header = PROFILE_COLUMNS
         lines = [f"{l},{i},{_fmt(e)}" for l, i, e in table.rows]

@@ -28,8 +28,9 @@ at its first pass that does not improve.
 
 This module alone decides a trial: :func:`_trial_paths` draws the users'
 paths from substream ``(trial, 0)``, :func:`_trial_estimates` estimates
-their channels with training noise from ``(trial, 1)``, and
-:func:`_trial_links` builds every scheme's link from them.
+their channels with training noise from ``(trial, 1)``,
+:func:`_trial_links` builds every scheme's link from them, and
+:func:`_diagnostics` keeps per (scheme, user) what the trial computed.
 
 The noise variance is fixed at 1, so SNR is the total transmit budget:
 an SNR of s dB is a budget of ``10**(s/10)``.  Channels have unit mean
@@ -223,9 +224,11 @@ class CapacityRow:
 
 @dataclass
 class CapacityResult:
-    """Capacity rows in a normalized order, one per (scheme, snr, trial)."""
+    """Capacity rows in a normalized order, one per (scheme, snr, trial), and in
+    trial order one dict of ``diagnostics.csv`` columns per (scheme, trial, user)."""
 
     rows: list
+    diagnostics: list = dataclasses.field(default_factory=list)
 
     def __post_init__(self):
         if any(r.capacity_bpcu < 0 for r in self.rows):
@@ -501,18 +504,41 @@ def _trial_estimates(cfg: ScenarioConfig, trial: int, paths):
         yield h, estimate_channel(ChannelOracle(h, noise, rng), tx_geom, rx_geom, cfg.estimation)
 
 
-def _trial_links(cfg: ScenarioConfig, trial: int) -> dict:
-    """Every enabled scheme's link on one trial's channel draw, by scheme."""
+def _trial_links(cfg: ScenarioConfig, trial: int):
+    """One trial's paths, ``(h, report)`` estimates (``[]`` unless a scheme
+    designs on them) and every enabled scheme's link, by scheme."""
     tx_geom, rx_geom = cfg.macro_geometry(), cfg.small_geometry()
     paths = _trial_paths(cfg, trial)
     truth = [_UserChannel.from_paths(tx_geom, rx_geom, p) for p in paths]
     rows = {scheme: _SCHEME_ROWS[scheme] for scheme in cfg.schemes}
-    designs = {"truth": truth}
+    designs, estimates = {"truth": truth}, []
     if any(source == "estimates" for source, _, _ in rows.values()):
+        estimates = list(_trial_estimates(cfg, trial, paths))
         designs["estimates"] = [_UserChannel.from_paths(tx_geom, rx_geom, report.paired_paths)
-                                for _, report in _trial_estimates(cfg, trial, paths)]
-    return {scheme: _build_link(designs[source], truth, getattr(cfg, cap), factorized)
-            for scheme, (source, cap, factorized) in rows.items()}
+                                for _, report in estimates]
+    return paths, estimates, {
+        scheme: _build_link(designs[source], truth, getattr(cfg, cap), factorized)
+        for scheme, (source, cap, factorized) in rows.items()}
+
+
+def _diagnostics(cfg: ScenarioConfig, trial: int, scheme: str, link: _Link, paths, estimates):
+    # One dict per user; a column is absent where the scheme has no such value.
+    for user, (p, own) in enumerate(zip(paths, link.streams)):
+        row = {"scheme": scheme, "allocation": cfg.allocation, "k_factor_db": cfg.k_factor_db,
+               "trial": trial, "user": user, "paths": p.n_paths, "streams": own.stop - own.start}
+        if link.factors:
+            prec, comb, row["closed_form"] = link.factors[user]
+            for kind, f in (("precoder", prec), ("combiner", comb)):
+                row |= {f"{kind}_residual": f.residual, f"{kind}_iterations": f.iterations_used,
+                        f"{kind}_pinv_steps": f.pinv_steps}
+        if _SCHEME_ROWS[scheme][0] == "estimates":
+            h, report = estimates[user]
+            row |= {"estimated_paths": report.paired_paths.n_paths, "departures": report.aods.size,
+                    "arrivals": report.aoas.size, "gain_residual": report.gain_residual,
+                    "nmse": np.linalg.norm(report.reconstruction - h) ** 2 / np.linalg.norm(h) ** 2,
+                    **{f"slots_phase{i}": getattr(report, f"slots_phase{i}") for i in (1, 2, 3)},
+                    "lanczos_steps_phase3": report.lanczos_steps_phase3}
+        yield row
 
 
 def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
@@ -522,13 +548,15 @@ def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
     counter-derived substream of the master seed, designs every enabled
     scheme on that draw (the estimated scheme designs on pipeline
     reconstructions but is evaluated on the true channels), and emits
-    one row per (scheme, snr, trial).  Identical configs produce
-    identical results regardless of execution order.
+    one row per (scheme, snr, trial) and one diagnostics row per
+    (scheme, trial, user).  Identical configs produce identical results
+    regardless of execution order.
     """
     budgets = cfg.budgets()
-    rows = []
+    rows, diagnostics = [], []
     for trial in range(cfg.trials):
-        for scheme, link in _trial_links(cfg, trial).items():
+        paths, estimates, links = _trial_links(cfg, trial)
+        for scheme, link in links.items():
             capacities = _link_capacities(link, budgets, cfg.allocation)
             rows.extend(
                 CapacityRow(scheme=scheme, allocation=cfg.allocation, snr_db=snr,
@@ -536,4 +564,5 @@ def run_scenario(cfg: ScenarioConfig) -> CapacityResult:
                             capacity_bpcu=float(capacity))
                 for snr, capacity in zip(cfg.snr_grid_db, capacities)
             )
-    return CapacityResult(rows=rows)
+            diagnostics.extend(_diagnostics(cfg, trial, scheme, link, paths, estimates))
+    return CapacityResult(rows=rows, diagnostics=diagnostics)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -19,6 +20,7 @@ from mmwave_backhaul import (
     ConfigNotFoundError,
     ConfigSyntaxError,
     ConfigValidationError,
+    DiagnosticsTable,
     EstimationConfig,
     RankProfileTable,
     ScenarioConfig,
@@ -29,6 +31,7 @@ from mmwave_backhaul import (
 )
 from mmwave_backhaul import cli, config
 from mmwave_backhaul.config import parse_config_text, preset_scenarios, render_config
+from mmwave_backhaul.simulation import _build_link, _trial_estimates, _trial_paths, _UserChannel
 from subprocess_env import child_env
 
 MINIMAL = """\
@@ -279,6 +282,34 @@ class TestEmitCsv:
         emit_csv(CapacityResult(rows=rows), path)
         assert path.read_text().splitlines()[1].endswith("314.159265359")
 
+    def test_diagnostics_table(self, tmp_path):
+        # Rows sort by (scheme, allocation, k_factor_db, trial, user); an
+        # absent column is an empty cell, a flag 1 or 0, a tuple its items
+        # separated by spaces.
+        key = ("scheme", "allocation", "k_factor_db", "trial", "user", "paths", "streams")
+        factors = ("closed_form", "precoder_residual", "precoder_iterations",
+                   "precoder_pinv_steps", "combiner_residual", "combiner_iterations",
+                   "combiner_pinv_steps")
+        estimate = ("estimated_paths", "departures", "arrivals", "nmse", "gain_residual",
+                    "slots_phase1", "slots_phase2", "slots_phase3", "lanczos_steps_phase3")
+        rows = [
+            dict(zip(key + factors, ("hybrid_ideal", "equal", 0.0, 1, 0, 3, 2,
+                                     np.False_, 0.125, 40, 0, np.pi, 12, 1))),
+            dict(zip(key + factors + estimate, (
+                "hybrid_estimated", "equal", 0.0, 1, 1, 4, np.int64(4), True, 1e-16, 1, 0, 2e-16,
+                1, 0, 4, 5, 4, np.float64(0.03), 0.04, 16384, 64, 160, (12, 0, 28)))),
+            dict(zip(key, ("full_digital", "equal", 10.0, 0, 0, 2, 2))),
+        ]
+        path = tmp_path / "diagnostics.csv"
+        emit_csv(DiagnosticsTable(rows), path)
+        assert path.read_text().splitlines() == [
+            ",".join(key + factors + estimate),
+            "full_digital,equal,10,0,0,2,2" + "," * 16,
+            "hybrid_estimated,equal,0,1,1,4,4,1,1e-16,1,0,2e-16,1,0,4,5,4,0.03,0.04,"
+            "16384,64,160,12 0 28",
+            "hybrid_ideal,equal,0,1,0,3,2,0,0.125,40,0,3.14159265359,12,1" + "," * 9,
+        ]
+
     def test_unknown_table_type(self, tmp_path):
         with pytest.raises(TypeError):
             emit_csv([(1, 2, 3)], tmp_path / "x.csv")
@@ -360,7 +391,7 @@ class TestCliEndToEnd:
         assert lines[0] == "scheme,allocation,snr_db,k_factor_db,trial,capacity_bpcu"
         assert len(lines) == 1 + 2 * 2 * 2  # schemes x snrs x trials
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["outputs"] == ["capacity.csv"]
+        assert manifest["outputs"] == ["capacity.csv", "diagnostics.csv"]
         assert manifest["config_digest"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
         [stage] = manifest["stage_seconds"]
         assert stage.startswith("k_factor_db=")
@@ -403,46 +434,9 @@ class TestCliEndToEnd:
             proc = run_cli("capacity-sweep", "--config", str(cfg), "--out", str(out),
                            env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
-            outputs.append((out / "capacity.csv").read_bytes())
+            outputs.append([(out / name).read_bytes() for name in ("capacity.csv",
+                                                                   "diagnostics.csv")])
         assert outputs[0] == outputs[1]
-
-    def test_estimate_demo(self, tmp_path):
-        cfg = self.write_config(
-            tmp_path,
-            "estimation:\n  l_ma: 64\n  l_sm: 8\n  keep: 4\n",
-        )
-        proc = run_cli("estimate-demo", "--config", str(cfg), "--out", str(tmp_path / "demo"))
-        assert proc.returncode == 0, proc.stderr
-        assert "channel NMSE" in proc.stdout
-        assert "training slots" in proc.stdout
-        # A 64-element pencil's Lanczos depth, 32, would cover its 32-row
-        # Hankel, so every departure pencil is dense by design.
-        assert ("(dense SVD by design: 64 elements are too few for the truncated pencil)"
-                in proc.stdout)
-        assert "fallbacks" not in proc.stdout
-        proc = run_cli("estimate-demo", "--preset", "fig5", "--out", str(tmp_path / "fig5"))
-        assert proc.returncode == 0, proc.stderr
-        assert "at the full depth 32," in proc.stdout
-
-    def test_factorize_report(self, tmp_path):
-        cfg = self.write_config(tmp_path)
-        proc = run_cli("factorize", "--config", str(cfg), "--trials", "2",
-                       "--out", str(tmp_path / "fz"))
-        assert proc.returncode == 0, proc.stderr
-        assert "relative residual" in proc.stdout
-        assert "closed form:" in proc.stdout
-        assert "precoders (64 elements):" in proc.stdout
-        assert "combiners (8 elements):" in proc.stdout
-        assert proc.stdout.count("relative residual") == 2
-        assert proc.stdout.count("at max_iterations (600)") == 2
-        assert proc.stdout.count("iterated targets:   median ") == 2
-        assert proc.stdout.count("pseudoinverse steps: ") == 2
-
-    def test_factorize_uses_config_trials(self, tmp_path):
-        cfg = self.write_config(tmp_path)  # trials: 2, k_users: 2
-        proc = run_cli("factorize", "--config", str(cfg), "--out", str(tmp_path / "fz"))
-        assert proc.returncode == 0, proc.stderr
-        assert "targets factorized: 4 " in proc.stdout
 
     def test_config_error_exit_code(self, tmp_path):
         proc = run_cli("capacity-sweep", "--config", str(tmp_path / "missing.yaml"))
@@ -487,10 +481,33 @@ class TestCliEndToEnd:
         assert proc.returncode == 2
         assert "not both" in proc.stderr
 
+    def test_out_naming_a_file_is_rejected_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        cfg = str(self.write_config(tmp_path))
+        for out in (taken, taken / "sub" / "dir"):  # the file itself, or below it
+            assert cli.main(["capacity-sweep", "--config", cfg, "--out", str(out)]) == 2
+            assert (f"--out {out} needs a directory, but {taken} is a file"
+                    in capsys.readouterr().err)
+        assert taken.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.yaml", "taken"]
+
+    def test_rank_profile_of_several_scenarios_is_config_error(self, tmp_path, capsys):
+        # fig5 holds one scenario per Rician factor and allocation; a rank
+        # profile of the first alone would ignore the other three.
+        out = tmp_path / "rp"
+        assert cli.main(["rank-profile", "--preset", "fig5", "--out", str(out)]) == 2
+        assert "rank-profile profiles one scenario; this run has 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_estimation_chain_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "chains.yaml"
         cfg.write_text(MINIMAL + "estimation: {n_bb_sm: 2}\n")
-        proc = run_cli("estimate-demo", "--config", str(cfg), "--out", str(tmp_path / "demo"))
+        proc = run_cli("capacity-sweep", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "line 6: unknown estimation key 'n_bb_sm'" in proc.stderr
 
@@ -502,7 +519,7 @@ class TestCliEndToEnd:
             "n_ma: 16\nn_sm: 2\nk_users: 1\nn_bb_ma: 2\nn_bb_sm: 1\n"
             "estimation:\n  l_ma: 8\n  l_sm: 2\n  keep: 2\n"
         )
-        proc = run_cli("estimate-demo", "--config", str(cfg))
+        proc = run_cli("capacity-sweep", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "line 2: n_sm must be >= 4" in proc.stderr
 
@@ -576,3 +593,104 @@ class TestCliEndToEnd:
             manifests.append(load_manifest(out / "manifest.json"))
         assert [m["trials"] for m in manifests] == [1, 2]
         assert manifests[0]["config_digest"] == manifests[1]["config_digest"]
+
+
+def _cells(row, *names):
+    return tuple(row[name] for name in names)
+
+
+class TestDiagnostics:
+    """``diagnostics.csv``: one row per (scheme, allocation, k_factor_db, trial, user)."""
+
+    FACTOR_CELLS = ("closed_form",) + tuple(f"{kind}_{name}" for kind in ("precoder", "combiner")
+                                            for name in ("residual", "iterations", "pinv_steps"))
+    ESTIMATE_CELLS = ("estimated_paths", "departures", "arrivals", "nmse", "gain_residual",
+                      "slots_phase1", "slots_phase2", "slots_phase3", "lanczos_steps_phase3")
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        # Every scheme on 128/16 arrays, where phase 3 runs the truncated
+        # Lanczos pencil; four trials give closed-form and iterated users.
+        tmp = tmp_path_factory.mktemp("diagnostics")
+        path = tmp / "all.yaml"
+        path.write_text("n_ma: 128\nn_sm: 16\nk_users: 2\nn_bb_ma: 4\nn_bb_sm: 2\n"
+                        "trials: 4\nsnr_grid_db: [0, 20]\nmaster_seed: 3\n"
+                        "schemes: [full_digital, hybrid_estimated, hybrid_ideal]\n"
+                        "estimation: {l_ma: 128, l_sm: 16}\n")
+        assert cli.main(["capacity-sweep", "--config", str(path), "--out", str(tmp / "out")]) == 0
+        with open(tmp / "out" / "capacity.csv", newline="") as handle:
+            capacity = list(csv.DictReader(handle))
+        with open(tmp / "out" / "diagnostics.csv", newline="") as handle:
+            diagnostics = list(csv.DictReader(handle))
+        return parse_config(path), capacity, diagnostics
+
+    def test_one_row_per_scheme_trial_and_user(self, run):
+        cfg, _, rows = run
+        assert len(rows) == len(cfg.schemes) * cfg.trials * cfg.k_users
+        keys = [_cells(r, "scheme", "allocation", "k_factor_db", "trial", "user") for r in rows]
+        assert keys == sorted(keys, key=lambda k: (k[0], k[1], float(k[2]), int(k[3]), int(k[4])))
+
+    def test_keys_match_capacity_csv(self, run):
+        cfg, capacity, rows = run
+        per_user = {_cells(r, "scheme", "allocation", "k_factor_db", "trial") for r in rows}
+        assert per_user == {_cells(r, "scheme", "allocation", "k_factor_db", "trial")
+                            for r in capacity}
+        for key in per_user:
+            users = [r["user"] for r in rows
+                     if _cells(r, "scheme", "allocation", "k_factor_db", "trial") == key]
+            assert users == [str(k) for k in range(cfg.k_users)]
+
+    def test_cells_are_the_trial_values(self, run):
+        # Each trial recomputed here from its paths, estimates and links.
+        cfg, _, rows = run
+        tx, rx = cfg.macro_geometry(), cfg.small_geometry()
+        by_key = {(r["scheme"], int(r["trial"]), int(r["user"])): r for r in rows}
+        for trial in range(cfg.trials):
+            paths = _trial_paths(cfg, trial)
+            estimates = list(_trial_estimates(cfg, trial, paths))
+            truth = [_UserChannel.from_paths(tx, rx, p) for p in paths]
+            designs = {
+                "hybrid_ideal": (truth, cfg.n_bb_sm, True),
+                "hybrid_estimated": ([_UserChannel.from_paths(tx, rx, report.paired_paths)
+                                      for _, report in estimates], cfg.n_bb_sm, True),
+                "full_digital": (truth, cfg.n_sm, False),
+            }
+            for scheme, (design, cap, factorized) in designs.items():
+                link = _build_link(design, truth, cap, factorized)
+                for user, own in enumerate(link.streams):
+                    row = by_key[scheme, trial, user]
+                    assert _cells(row, "paths", "streams") == (
+                        str(paths[user].n_paths), str(own.stop - own.start))
+                    expected = ("",) * len(self.FACTOR_CELLS)
+                    if factorized:
+                        prec, comb, closed_form = link.factors[user]
+                        expected = (str(int(closed_form)),) + tuple(
+                            value for f in (prec, comb) for value in (
+                                format(f.residual, ".12g"), str(f.iterations_used),
+                                str(f.pinv_steps)))
+                    assert _cells(row, *self.FACTOR_CELLS) == expected
+                    expected = ("",) * len(self.ESTIMATE_CELLS)
+                    if scheme == "hybrid_estimated":
+                        h, report = estimates[user]
+                        nmse = (np.linalg.norm(report.reconstruction - h) ** 2
+                                / np.linalg.norm(h) ** 2)
+                        expected = (
+                            str(report.paired_paths.n_paths), str(report.aods.size),
+                            str(report.aoas.size), format(nmse, ".12g"),
+                            format(report.gain_residual, ".12g"), str(report.slots_phase1),
+                            str(report.slots_phase2), str(report.slots_phase3),
+                            " ".join(str(k) for k in report.lanczos_steps_phase3))
+                    assert _cells(row, *self.ESTIMATE_CELLS) == expected
+        # 128 elements run the truncated pencil on the departure side.
+        assert any(set(r["lanczos_steps_phase3"].split()) - {"0"} for r in rows
+                   if r["scheme"] == "hybrid_estimated")
+
+    def test_closed_form_takes_one_step_and_full_digital_has_no_factors(self, run):
+        _, _, rows = run
+        flags = {r["closed_form"] for r in rows if r["scheme"] != "full_digital"}
+        assert flags == {"0", "1"}  # both closed-form and iterated users
+        for r in rows:
+            if r["closed_form"] == "1":
+                assert _cells(r, "precoder_iterations", "combiner_iterations") == ("1", "1")
+            if r["scheme"] == "full_digital":
+                assert set(_cells(r, *self.FACTOR_CELLS)) == {""}

@@ -603,7 +603,8 @@ class TestTruncatedPencil:
 
     def test_lanczos_depth_zero_where_dense_by_design(self):
         # The depth 4 * 8 = 32 runs only below the Hankel's n - n // 2 rows.
-        assert [estimation._lanczos_depth(n) for n in (32, 64, 65, 512)] == [0, 0, 32, 32]
+        assert [estimation._lanczos_depth(n, estimation._order_cap(n))
+                for n in (32, 64, 65, 512)] == [0, 0, 32, 32]
         assert estimation._lanczos_depth(64, 4) == 16
         for n, lanczos in ((64, False), (65, True)):
             basis = np.exp(2j * np.pi * np.outer(np.arange(n), [0.1, 0.3]))

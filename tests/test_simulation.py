@@ -321,7 +321,7 @@ class TestGridEvaluator:
             schemes=("hybrid_ideal", "hybrid_estimated", "full_digital"),
         )
         budgets = np.array([10.0 ** (snr / 10.0) for snr in cfg.snr_grid_db])
-        return budgets, _trial_links(cfg, 0)
+        return budgets, _trial_links(cfg, 0)[2]
 
     @pytest.mark.parametrize("allocation", ["waterfilling", "equal"])
     @pytest.mark.parametrize("scheme", ["hybrid_ideal", "hybrid_estimated", "full_digital"])
@@ -347,7 +347,8 @@ class TestLinkFactors:
         tx, rx = cfg.macro_geometry(), cfg.small_geometry()
         kinds = set()
         for trial in range(cfg.trials):
-            links = _trial_links(cfg, trial)
+            _, estimates, links = _trial_links(cfg, trial)
+            assert estimates == []  # no scheme designs on estimates
             assert links["full_digital"].factors == []
             link = links["hybrid_ideal"]
             assert len(link.factors) == cfg.k_users
